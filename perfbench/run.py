@@ -2,16 +2,19 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload fig10-stga --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload fig10-stga --seed 1 --seconds 20 --trace 1
-    python3 perfbench/run.py --steady 10 --seconds 20
+    python3 perfbench/run.py --workload fig10-stga --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload fig10-stga --seed 1 --seconds 25 --trace 1
+    python3 perfbench/run.py --steady 10 --seconds 25
 
-``--trace 0`` measures the end-to-end metrics with tracing off;
-``--trace 1`` alternates untraced and traced rounds of the same work
-and reports the per-layer metrics plus ``trace.overhead_s``;
+``--trace 0`` times rounds of the program's own ``run_spec`` (plus,
+on ``sweep-store``, the store round trips) with tracing off, then
+runs one untimed check pass through the benchmark's cell runner for
+the conservation checks, decision latencies and schedule quality;
+``--trace 1`` alternates untraced and traced cell-runner rounds of the
+same work and reports the per-layer metrics plus ``trace.overhead_s``;
 ``--steady N`` runs every workload N times with seeds 1..N, alternating
-the workload order, and prints each end-to-end metric's median,
-quartiles and spread against its bound in ``BENCHMARK.json``.
+the workload order, and prints each metric's median, quartiles and
+spread against its bound in ``BENCHMARK.json``.
 
 Every run checks the program's outputs (see ``cells.check_result``,
 ``Bench.cross_check`` and the store checks in ``suite``) and prints,
@@ -37,7 +40,7 @@ from pathlib import Path  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = Path.cwd()
 #: set-up samples per run: this process's own set-up plus fresh probes
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 3
 
 
 def parse_args(argv):
@@ -90,18 +93,27 @@ def main(argv=None) -> int:
         print(f"  {bench.workload.why}")
         if not args.trace:
             setup_s += _probe_setups(args.workload, args.seed)
-        bench.warm_up()
         checks = []  # run-level checks, one operation each
         if args.trace:
+            expected = bench.warm_up()
             rounds, metrics, repeat = trace_run(
                 bench, args.seconds, out_dir, args.seed
             )
             checks.append(repeat)
+            checks.append(bench.cross_check(expected, rounds[0].outcomes[:1]))
+            outcomes = rounds[0].outcomes
         else:
+            bench.warm_up()
             rounds = timed_rounds(bench, args.seconds)
-            metrics = end_to_end(bench.workload, rounds, setup_s)
-        checks.append(bench.cross_check(rounds[0].outcomes[0]))
-        checks.append(shape_check(bench.workload, rounds[0]))
+            peak_rss_mb = _peak_rss_mb(bench.workload.workers)
+            check = bench.check_pass()
+            outcomes = check.outcomes
+            for r in rounds:
+                if r.swept is not None:
+                    r.fail_cells(bench.cross_check(r.swept, outcomes))
+            metrics = end_to_end(bench, rounds, outcomes, setup_s, peak_rss_mb)
+            rounds.append(check)
+        checks.append(shape_check(bench, outcomes))
         attempted = len(checks) + sum(r.attempted for r in rounds)
         failed = sum(map(bool, checks)) + sum(r.failed for r in rounds)
         problems = [p for c in checks for p in c]
@@ -151,12 +163,14 @@ def _probe_setups(workload: str, seed: int) -> list[float]:
 
 
 def timed_rounds(bench, seconds: float) -> list:
-    """Rounds back to back while another round still fits in
-    ``seconds`` (at least one)."""
+    """``run_spec`` rounds back to back while another round still fits
+    in ``seconds`` (at least one; a failed round ends the loop)."""
     rounds = []
     started = time.perf_counter()
-    while not rounds or _fits(started, rounds[-1].wall_s, seconds):
-        rounds.append(bench.run_round(len(rounds), trace=False))
+    while not rounds or (
+        not rounds[-1].failed and _fits(started, rounds[-1].wall_s, seconds)
+    ):
+        rounds.append(bench.spec_round(len(rounds)))
     return rounds
 
 
@@ -173,12 +187,13 @@ def _percentile(values: list[float], q: float) -> float:
     return values[lo] + (values[hi] - values[lo]) * (pos - lo)
 
 
-def quality_ratio(workload, outcomes) -> float:
+def quality_ratio(bench, outcomes) -> float:
     """Geometric mean over cells of the subject's ``quality_metric``
     over the best baseline scheduler's.  Per variant, "best" is the
     baseline (and the subject the one of ``subject_refs``) with the
     lower mean over the round's seeds.  Without a baseline it is the
     geometric mean of the metric over cells and every subject."""
+    workload = bench.workload
     metric = workload.quality_metric
     by_variant: dict[str, list] = {}
     for o in outcomes:
@@ -190,7 +205,7 @@ def quality_ratio(workload, outcomes) -> float:
             logs += [
                 math.log(getattr(r[ref], metric))
                 for r in runs
-                for ref in workload.subject_refs
+                for ref in bench.subject_refs
             ]
             continue
 
@@ -200,7 +215,7 @@ def quality_ratio(workload, outcomes) -> float:
                 key=lambda ref: statistics.mean(getattr(r[ref], metric) for r in runs),
             )
 
-        subject = pick(workload.subject_refs)
+        subject = pick(bench.subject_refs)
         best = pick(workload.quality_baseline)
         logs += [
             math.log(getattr(r[subject], metric) / getattr(r[best], metric))
@@ -209,31 +224,30 @@ def quality_ratio(workload, outcomes) -> float:
     return math.exp(statistics.mean(logs)) if logs else float("nan")
 
 
-def _peak_rss_mb(rounds) -> float:
-    """This process's peak RSS plus, per round, the summed peaks of
-    the pool workers (the largest such round)."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    workers = 0
-    me = os.getpid()
-    for r in rounds:
-        peaks: dict[int, int] = {}
-        for o in r.outcomes:
-            if o.pid != me:
-                peaks[o.pid] = max(peaks.get(o.pid, 0), o.peak_rss_kb)
-        workers = max(workers, sum(peaks.values()))
-    return (own + workers) / 1024.0
+def _peak_rss_mb(workers: int) -> float:
+    """This process's peak RSS so far plus, with a pool, ``workers``
+    times the largest peak of any ended child process (the pool
+    workers of the timed rounds; the set-up probes before them are
+    smaller).  Read right after the timed rounds, before the check
+    pass runs."""
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if workers > 1:
+        kb += workers * resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return kb / 1024.0
 
 
-def end_to_end(workload, rounds, setup_s: list[float]) -> dict:
-    """The end-to-end metrics of untraced rounds, printed with their
-    sample counts and bases."""
-    first = rounds[0].outcomes
-    walls = [r.wall_s for r in rounds]
-    wall = statistics.median(walls)
-    n_cells = len(first)
-    jobs = sum(o.terminal_jobs for o in first)
-    decisions = [d for r in rounds for o in r.outcomes for d in o.decision_s]
-    ratio = quality_ratio(workload, first)
+def end_to_end(bench, rounds, check, setup_s: list[float], peak_rss_mb) -> dict:
+    """The end-to-end metrics, printed with their sample counts and
+    bases: wall time from the timed ``run_spec`` rounds; terminal
+    jobs, decision latencies and schedule quality from the check
+    pass (whose reports equal every timed round's)."""
+    workload = bench.workload
+    walls = [r.wall_s for r in rounds if r.swept is not None]
+    wall = statistics.median(walls) if walls else float("nan")
+    n_cells = len(check)
+    jobs = sum(o.terminal_jobs for o in check)
+    decisions = [d for o in check for d in o.decision_s]
+    ratio = quality_ratio(bench, check)
     metrics = {
         "setup_s": (statistics.median(setup_s), "s"),
         "wall_s": (wall, "s"),
@@ -241,20 +255,24 @@ def end_to_end(workload, rounds, setup_s: list[float]) -> dict:
         "cells_per_s": (n_cells / wall, "1/s"),
         "decision_p50_ms": (_percentile(decisions, 0.50) * 1e3, "ms"),
         "decision_p95_ms": (_percentile(decisions, 0.95) * 1e3, "ms"),
-        "peak_rss_mb": (_peak_rss_mb(rounds), "MB"),
+        "peak_rss_mb": (peak_rss_mb, "MB"),
         "quality_ratio": (ratio, "ratio"),
     }
+    store = " + store round trips" if workload.store else ""
     notes = {
         "setup_s": f"median of {len(setup_s)} set-ups",
-        "wall_s": f"median of {len(rounds)} rounds of {n_cells} cells",
+        "wall_s": f"median of {len(walls)} run_spec rounds of {n_cells} "
+        f"cells{store}, {workload.workers} worker(s): "
+        + " ".join(f"{w:.3f}" for w in walls),
         "jobs_per_s": f"{jobs} terminal jobs per round / wall_s",
         "cells_per_s": f"{n_cells} cells per round / wall_s",
         "decision_p50_ms": f"n={len(decisions)} schedule() calls of "
-        f"{', '.join(workload.timed_refs)}",
+        f"{', '.join(bench.timed_refs)} in the check pass",
         "decision_p95_ms": f"n={len(decisions)}",
-        "peak_rss_mb": "benchmark process + pool workers",
+        "peak_rss_mb": "benchmark process"
+        + (f" + {workload.workers} x largest pool worker" if workload.workers > 1 else ""),
         "quality_ratio": f"{workload.quality_metric} of "
-        f"{'/'.join(workload.subject_refs)}"
+        f"{'/'.join(bench.subject_refs)}"
         + (
             f" over best of {'/'.join(workload.quality_baseline)}"
             if workload.quality_baseline
@@ -267,10 +285,11 @@ def end_to_end(workload, rounds, setup_s: list[float]) -> dict:
     return metrics
 
 
-def shape_check(workload, round0) -> list[str]:
+def shape_check(bench, outcomes) -> list[str]:
+    workload = bench.workload
     if workload.max_ratio is None:
         return []
-    ratio = quality_ratio(workload, round0.outcomes)
+    ratio = quality_ratio(bench, outcomes)
     if ratio <= workload.max_ratio:
         return []
     return [
@@ -285,13 +304,11 @@ WAIT_SPANS = ("sweep.parallel_map",)
 #: counters that must repeat exactly between rounds of one run
 DETERMINISTIC = (
     "workloads.calls",
-    "history.query_calls",
     "history.insert_calls",
     "history.queries",
     "history.hits",
     "ga.evolve_calls",
     "ga.generations",
-    "ga.budget",
     "stga.decisions",
     "heuristics.decisions",
     "engine.batches",
@@ -326,22 +343,17 @@ def layer_metrics(bench, traced, untraced) -> dict:
     budget = counts.get("ga.budget", 0)
     batches = counters.get("engine.batches", 0)
     workers = bench.workload.workers
-    pooled = [r for r in untraced if r.pool_s is not None]
-    if pooled:
-        busy = statistics.median(sum(o.busy_s for o in r.outcomes) for r in pooled)
-        pool = statistics.median(r.pool_s for r in pooled)
-        overhead = pool - busy / workers
-        utilization = busy / (pool * workers)
-    else:
-        busy = overhead = utilization = 0.0
+    # sequential cells (one worker) give a loop overhead and utilization too
+    busy = statistics.median(sum(o.busy_s for o in r.outcomes) for r in untraced)
+    pool = statistics.median(r.pool_s for r in untraced)
+    overhead = pool - busy / workers
+    utilization = busy / (pool * workers)
     saved = calls("store.save")
     out = {
         "workloads.build_s": (self_s("workloads.build"), "s"),
         "workloads.calls": (calls("workloads.build"), "count"),
         "stga.warmup_s": (total_s("stga.warmup"), "s"),
-        "stga.warmups": (calls("stga.warmup"), "count"),
         "history.query_s": (self_s("history.query"), "s"),
-        "history.query_calls": (calls("history.query"), "count"),
         "history.insert_s": (self_s("history.insert"), "s"),
         "history.insert_calls": (calls("history.insert"), "count"),
         "history.queries": (queries, "count"),
@@ -350,7 +362,6 @@ def layer_metrics(bench, traced, untraced) -> dict:
         "ga.evolve_s": (self_s("ga.evolve"), "s"),
         "ga.evolve_calls": (calls("ga.evolve"), "count"),
         "ga.generations": (int(counts.get("ga.generations", 0)), "count"),
-        "ga.budget": (int(budget), "count"),
         "ga.budget_used": (
             counts.get("ga.generations", 0) / budget if budget else 0.0,
             "ratio",
@@ -384,9 +395,9 @@ def layer_metrics(bench, traced, untraced) -> dict:
 
 
 def trace_run(bench, seconds: float, out_dir: Path, seed: int):
-    """Alternate untraced and traced rounds of the same cells (the
-    order flips every pair) while another pair fits in ``seconds``
-    (at least one pair); report the
+    """Alternate untraced and traced cell-runner rounds of the same
+    cells (the order flips every pair) while another pair fits in
+    ``seconds`` (at least one pair); report the
     per-layer metrics (median over traced rounds) and the tracing
     overhead, and write every span to ``out_dir``."""
     untraced, traced = [], []
@@ -396,7 +407,7 @@ def trace_run(bench, seconds: float, out_dir: Path, seed: int):
     ):
         order = (False, True) if len(traced) % 2 == 0 else (True, False)
         for trace in order:
-            r = bench.run_round(len(untraced) + len(traced), trace=trace)
+            r = bench.cell_round(len(untraced) + len(traced), trace=trace)
             (traced if trace else untraced).append(r)
     per_round = [layer_metrics(bench, t, untraced) for t in traced]
     metrics = {

@@ -3,27 +3,35 @@
 Every workload is a closed loop: one benchmark process issues the
 (variant, seed) cells of one ``ExperimentSpec`` back to back, and a
 *round* is one pass over that spec's grid.  Rounds repeat the same
-inputs (made from ``--seed``), so a round's wall time is a timing at a
-fixed input size.
+inputs (made from ``--seed``) against a store of the same size, so a
+round's wall time is a timing at a fixed input size.
+
+A timed round is the program's own entry point,
+``run_spec(spec, max_workers=workers)``, followed on ``sweep-store``
+by every cell's store round trip.  The untimed check pass and the
+traced rounds run the same grid through the benchmark's cell runner
+(``cells.run_cell``), and ``Bench.cross_check`` holds the two to the
+same reports cell by cell.
 
 * ``fig10-stga`` — Figure 10's PSA scaling grid (N = 1k..10k at
-  scale 0.05) with the bench GA budget, 24 seeds, cells in process.
-  GA-bound.
+  scale 0.05) with the bench GA budget, cells in process.  GA-bound.
 * ``online-dynamic`` — a NAS scenario with Poisson arrivals,
   cancellations, site breakdowns and online rescheduling under the
   six paper heuristics.  Engine- and heuristics-bound; no GA.
-* ``sweep-store`` — small PSA and NAS variants x 24 seeds x the full
-  paper lineup, fanned out by ``experiments.sweep.parallel_map`` over
-  two workers; every cell's result is saved to a ``sqlite:`` run
-  store, reloaded, listed and diffed with ``compare_runs``.
+* ``sweep-store`` — small PSA and NAS variants x the full paper
+  lineup, fanned out over two pool workers; every cell's result is
+  saved to a ``sqlite:`` run store, reloaded, listed and diffed with
+  ``compare_runs``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import cells
 import tracing
@@ -39,34 +47,102 @@ BENCH_GA = dict(
 )
 BENCH_BATCH_INTERVAL = 2000.0
 
-SIX_HEURISTICS = (
-    "min-min-secure",
-    "min-min-f-risky",
-    "min-min-risky",
-    "sufferage-secure",
-    "sufferage-f-risky",
-    "sufferage-risky",
-)
+#: processes of the untimed check pass (the container's core count;
+#: running two cells at once did not slow either in a probe)
+CHECK_WORKERS = 2
 
 #: Figure 10's shape claim: STGA's makespan is at most 3 % above the
 #: best f-risky heuristic's (geometric mean over cells)
 FIG10_MAX_RATIO = 1.03
 
 
+def _bench_settings():
+    from repro.core.ga import GAConfig
+    from repro.experiments.config import RunSettings
+
+    return RunSettings(
+        batch_interval=BENCH_BATCH_INTERVAL, ga=GAConfig(**BENCH_GA)
+    )
+
+
+def fig10_spec(seeds):
+    from repro.experiments.spec import ExperimentSpec
+    from repro.experiments.sweep import job_scaling_variants
+
+    return ExperimentSpec(
+        name="perfbench-fig10-stga",
+        schedulers=("min-min-f-risky", "sufferage-f-risky", "stga"),
+        variants=job_scaling_variants(
+            (1000, 2000, 5000, 10000), n_training_jobs=500
+        ),
+        seeds=seeds,
+        scale=0.05,
+        settings=_bench_settings(),
+    )
+
+
+def online_dynamic_spec(seeds):
+    from repro.experiments.config import RunSettings
+    from repro.experiments.runner import PAPER_LINEUP
+    from repro.experiments.spec import ExperimentSpec
+    from repro.experiments.sweep import ScenarioVariant
+
+    return ExperimentSpec(
+        name="perfbench-online-dynamic",
+        schedulers=PAPER_LINEUP[:-1],  # the six heuristics, no STGA
+        variants=(
+            ScenarioVariant(
+                name="NAS online",
+                workload="nas?dynamics=poisson&cancel=0.0005"
+                "&breakdown=0.0001&online=true",
+                n_jobs=16000,
+                n_training_jobs=0,
+            ),
+        ),
+        seeds=seeds,
+        # 320 jobs over 2 trace days: the arrival pressure of the 5 %
+        # bench scale (160 jobs a day), in cells small enough that a
+        # round averages over many seeds
+        scale=0.02,
+        settings=RunSettings(),
+    )
+
+
+def sweep_store_spec(seeds):
+    from repro.experiments.runner import PAPER_LINEUP
+    from repro.experiments.spec import ExperimentSpec
+    from repro.experiments.sweep import ScenarioVariant
+
+    return ExperimentSpec(
+        name="perfbench-sweep-store",
+        schedulers=PAPER_LINEUP,
+        variants=(
+            ScenarioVariant(name="PSA small", workload="psa", n_jobs=1000),
+            ScenarioVariant(name="NAS small", workload="nas", n_jobs=1000),
+        ),
+        seeds=seeds,
+        scale=0.05,
+        settings=_bench_settings(),
+    )
+
+
 @dataclass(frozen=True)
 class Workload:
     name: str
     why: str
+    #: ``seeds -> ExperimentSpec``: the grid one round runs
+    make_spec: Callable
     #: replication seeds per round, derived from the workload seed
     n_seeds: int
-    #: refs whose single schedule() calls make the decision latency
-    timed_refs: tuple[str, ...]
-    #: refs whose ``quality_metric`` the quality ratio takes, over the
-    #: best of ``quality_baseline`` (or alone, when that is empty)
-    subject_refs: tuple[str, ...]
+    #: refs whose single schedule() calls make the decision latency,
+    #: and refs whose ``quality_metric`` the quality ratio takes over
+    #: the best of ``quality_baseline`` (or alone, when that is
+    #: empty); ``None`` means the spec's whole lineup
+    timed_refs: tuple[str, ...] | None
+    subject_refs: tuple[str, ...] | None
     quality_metric: str = "makespan"
     quality_baseline: tuple[str, ...] = ("min-min-f-risky", "sufferage-f-risky")
-    #: pool workers (1 = cells in process, one after another)
+    #: pool workers of ``run_spec`` (1 = cells in process)
     workers: int = 1
     store: bool = False
     max_ratio: float | None = None
@@ -79,11 +155,14 @@ WORKLOADS = {
             name="fig10-stga",
             why="GA-bound: Figure 10 PSA scaling with STGA; GA, fitness "
             "and history changes show here",
-            # 24 seeds, not the ROADMAP yardstick's 3: at 3 the shape
+            make_spec=fig10_spec,
+            # 20 seeds, not the ROADMAP yardstick's 3: at 3 the shape
             # check's ratio swings 0.96..1.06 with the workload seed
             # (STGA ties the best f-risky heuristic at this scale); at
-            # 24 it stays within 0.99..1.02
-            n_seeds=24,
+            # 12 it stayed within 0.97..1.02 over workload seeds 1..10.
+            # One round of 20 seeds also averages over more inputs than
+            # repeated rounds of fewer
+            n_seeds=20,
             timed_refs=("stga",),
             subject_refs=("stga",),
             max_ratio=FIG10_MAX_RATIO,
@@ -92,13 +171,16 @@ WORKLOADS = {
             name="online-dynamic",
             why="engine- and heuristics-bound, no GA: dynamic NAS with "
             "cancels, outages and online rescheduling",
-            n_seeds=30,
-            timed_refs=SIX_HEURISTICS,
+            make_spec=online_dynamic_spec,
+            # one cell's cost varies +-15 % with its seed (outages and
+            # cancellations lengthen the queues each decision scans)
+            n_seeds=24,
+            timed_refs=None,
             # outages and cancellations make one heuristic's makespan
             # or response time over another's swing by +-50 % from seed
             # to seed; the slowdown ratio (response over service) of
             # every run is the steadier figure of schedule quality
-            subject_refs=SIX_HEURISTICS,
+            subject_refs=None,
             quality_metric="slowdown_ratio",
             quality_baseline=(),
         ),
@@ -106,7 +188,10 @@ WORKLOADS = {
             name="sweep-store",
             why="fixed per-cell costs: scenario build, STGA warm-up, "
             "pool fan-out and sqlite record write/read",
-            n_seeds=24,
+            make_spec=sweep_store_spec,
+            # 48 seeds: at 24 the STGA decision p95 (~1000 samples per
+            # run) spread 0.22 over ten workload seeds
+            n_seeds=48,
             timed_refs=("stga",),
             subject_refs=("stga",),
             workers=2,
@@ -121,76 +206,24 @@ def workload_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(1000 * seed + i for i in range(n))
 
 
-def build_spec(workload: Workload, seed: int):
-    """The workload's ``ExperimentSpec``, built and validated."""
-    from repro.core.ga import GAConfig
-    from repro.experiments.config import RunSettings
-    from repro.experiments.runner import PAPER_LINEUP
-    from repro.experiments.spec import ExperimentSpec
-    from repro.experiments.sweep import ScenarioVariant, job_scaling_variants
-
-    bench = RunSettings(
-        batch_interval=BENCH_BATCH_INTERVAL, ga=GAConfig(**BENCH_GA)
-    )
-    seeds = workload_seeds(seed, workload.n_seeds)
-    if workload.name == "fig10-stga":
-        spec = ExperimentSpec(
-            name="perfbench-fig10-stga",
-            schedulers=("min-min-f-risky", "sufferage-f-risky", "stga"),
-            variants=job_scaling_variants(
-                (1000, 2000, 5000, 10000), n_training_jobs=500
-            ),
-            seeds=seeds,
-            scale=0.05,
-            settings=bench,
-        )
-    elif workload.name == "online-dynamic":
-        spec = ExperimentSpec(
-            name="perfbench-online-dynamic",
-            schedulers=SIX_HEURISTICS,
-            variants=(
-                ScenarioVariant(
-                    name="NAS online",
-                    workload="nas?dynamics=poisson&cancel=0.0005"
-                    "&breakdown=0.0001&online=true",
-                    n_jobs=16000,
-                    n_training_jobs=0,
-                ),
-            ),
-            seeds=seeds,
-            # 320 jobs over 2 trace days: the arrival pressure of the
-            # 5 % bench scale (160 jobs a day), in cells small enough
-            # that a round averages over 30 seeds
-            scale=0.02,
-            settings=RunSettings(),
-        )
-    else:
-        spec = ExperimentSpec(
-            name="perfbench-sweep-store",
-            schedulers=PAPER_LINEUP,
-            variants=(
-                ScenarioVariant(name="PSA small", workload="psa", n_jobs=1000),
-                ScenarioVariant(name="NAS small", workload="nas", n_jobs=1000),
-            ),
-            seeds=seeds,
-            scale=0.05,
-            settings=bench,
-        )
-    spec.validate()
-    return spec
-
-
 @dataclass
 class RoundResult:
-    """One pass over a workload's grid: cell outcomes, store
-    operations and the round's wall time."""
+    """One pass over a workload's grid: what it produced, its store
+    operations and its wall time.  A timed round holds ``run_spec``'s
+    ``swept`` result; a cell-runner round holds the cells'
+    ``outcomes``."""
 
     round_no: int
-    outcomes: list
+    n_cells: int
+    swept: object = None  # repro.experiments.sweep.SweepResult
+    outcomes: list = field(default_factory=list)
+    #: wall time of the cell runner's map over the grid (cell rounds)
     pool_s: float | None = None
     wall_s: float = 0.0
+    failed_cells: int = 0
     store_ops: int = 0
     store_failed: int = 0
+    cell_problems: list = field(default_factory=list)
     store_problems: list = field(default_factory=list)
     tracer: tracing.Tracer | None = None
 
@@ -209,16 +242,31 @@ class RoundResult:
             self.store_problems.extend(f"{label}: {name}: {p}" for p in problems)
         return value
 
+    @classmethod
+    def of_outcomes(cls, round_no: int, outcomes, pool_s=None) -> "RoundResult":
+        """A cell-runner round; each cell with a failure counts failed."""
+        result = cls(round_no, len(outcomes), outcomes=outcomes, pool_s=pool_s)
+        result.fail_cells(
+            [p for o in outcomes for p in o.failures],
+            n=sum(1 for o in outcomes if o.failures),
+        )
+        return result
+
+    def fail_cells(self, problems: list[str], n: int | None = None) -> None:
+        """Count ``n`` cells (default: one per problem) failed."""
+        self.failed_cells += len(problems) if n is None else n
+        self.cell_problems.extend(problems)
+
     @property
     def attempted(self) -> int:
-        return len(self.outcomes) + self.store_ops
+        return self.n_cells + self.store_ops
 
     @property
     def failed(self) -> int:
-        return sum(1 for o in self.outcomes if o.failures) + self.store_failed
+        return self.failed_cells + self.store_failed
 
     def problems(self) -> list[str]:
-        return [p for o in self.outcomes for p in o.failures] + self.store_problems
+        return self.cell_problems + self.store_problems
 
 
 def setup(name: str, seed: int, out_dir: Path) -> "Bench":
@@ -229,39 +277,59 @@ def setup(name: str, seed: int, out_dir: Path) -> "Bench":
 
 
 class Bench:
-    """One workload's set-up state and round runner."""
+    """One workload's set-up state and round runners."""
 
     def __init__(self, workload: Workload, seed: int, out_dir: Path) -> None:
         self.workload = workload
-        self.spec = build_spec(workload, seed)
+        self.spec = workload.make_spec(workload_seeds(seed, workload.n_seeds))
+        self.spec.validate()
+        lineup = self.spec.schedulers
+        self.timed_refs = workload.timed_refs or lineup
+        self.subject_refs = workload.subject_refs or lineup
         self.store = None
         self.store_path = None
+        self._store_used = False
         if workload.store:
-            from repro.experiments.store import open_store
-
             out_dir.mkdir(parents=True, exist_ok=True)
             self.store_path = out_dir / f"store-{workload.name}-{os.getpid()}.db"
-            _remove_db(self.store_path)
-            self.store = open_store(f"sqlite:{self.store_path}")
-        #: last stored record per variant, the compare_runs baseline
-        self._previous: dict[str, object] = {}
+            self._open_store()
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.spec.variants) * len(self.spec.seeds)
+
+    def _open_store(self) -> None:
+        from repro.experiments.store import open_store
+
+        if self.store is not None:
+            self.store.close()
+        _remove_db(self.store_path)
+        self.store = open_store(f"sqlite:{self.store_path}")
+        self._store_used = False
+
+    def _ready_store(self) -> None:
+        """Give the coming round an empty store (untimed), so every
+        round saves, loads, lists and compares against the same
+        number of records."""
+        if self.store is not None and self._store_used:
+            self._open_store()
 
     def close(self) -> None:
         if self.store is not None:
             self.store.close()
             _remove_db(self.store_path)
 
-    def tasks(self, round_no: int, trace: bool) -> list[cells.CellTask]:
+    def tasks(self, tag: str, trace: bool) -> list[cells.CellTask]:
         spec = self.spec
         return [
             cells.CellTask(
-                cell_id=f"r{round_no}-c{i}",
+                cell_id=f"{tag}-c{i}",
                 variant=variant,
                 seed=seed,
                 scale=spec.scale,
                 settings=spec.settings,
                 lineup=spec.schedulers,
-                timed_refs=self.workload.timed_refs,
+                timed_refs=self.timed_refs,
                 trace=trace,
             )
             for i, (variant, seed) in enumerate(
@@ -269,32 +337,75 @@ class Bench:
             )
         ]
 
-    def warm_up(self) -> None:
-        """Run the first cell through ``run_spec`` before timing: it
-        fills lazy imports, and its reports are what
-        :meth:`cross_check` holds the benchmark's own cell runner to."""
+    def warm_up(self):
+        """Run the first cell through ``run_spec`` before timing (it
+        fills lazy imports) and return its result."""
         from repro.experiments.spec import run_spec
 
-        task = self.tasks(0, trace=False)[0]
-        sub = replace(self.spec, variants=(task.variant,), seeds=(task.seed,))
-        self._expected = run_spec(sub, max_workers=1)
+        sub = replace(
+            self.spec,
+            variants=self.spec.variants[:1],
+            seeds=self.spec.seeds[:1],
+        )
+        return run_spec(sub, max_workers=1)
 
-    def cross_check(self, first: cells.CellOutcome) -> list[str]:
-        """The first cell's reports must equal ``run_spec``'s."""
+    def check_pass(self) -> RoundResult:
+        """Every cell once through the cell runner, untimed, over
+        ``CHECK_WORKERS`` processes of the benchmark's own pool:
+        conservation checks, decision latencies, terminal jobs and the
+        reports the timed rounds are held to."""
+        tasks = self.tasks("check", trace=False)
+        with ProcessPoolExecutor(max_workers=CHECK_WORKERS) as pool:
+            outcomes = list(pool.map(cells.run_cell, tasks))
+        return RoundResult.of_outcomes(-1, outcomes)
+
+    def cross_check(self, swept, outcomes) -> list[str]:
+        """``run_spec``'s reports must equal the cell runner's, for
+        every cell of ``outcomes`` that ``swept`` holds (one problem
+        per differing cell; the measured ``scheduler_seconds`` are not
+        compared)."""
         problems = []
-        for report in first.reports:
-            want = self._expected.cell(first.variant, report.scheduler)[0]
-            if replace(want, scheduler_seconds=0.0) != replace(
-                report, scheduler_seconds=0.0
-            ):
+        for o in outcomes:
+            if o.variant not in swept.reports or o.seed not in swept.seeds:
+                continue
+            i = swept.seeds.index(o.seed)
+            want = {
+                name: replace(reps[i], scheduler_seconds=0.0)
+                for name, reps in swept.reports[o.variant].items()
+            }
+            got = {
+                r.scheduler: replace(r, scheduler_seconds=0.0) for r in o.reports
+            }
+            if want != got:
                 problems.append(
-                    f"cross-check: {report.scheduler} on {first.variant} "
-                    "differs from run_spec's report"
+                    f"cross-check: {o.variant} seed={o.seed}: run_spec's "
+                    "reports differ from the cell runner's"
                 )
         return problems
 
-    def run_round(self, round_no: int, trace: bool) -> RoundResult:
-        tasks = self.tasks(round_no, trace)
+    def spec_round(self, round_no: int) -> RoundResult:
+        """One timed round: ``run_spec`` over the grid, then (on
+        ``sweep-store``) every cell's store round trip."""
+        from repro.experiments.spec import run_spec
+
+        self._ready_store()
+        result = RoundResult(round_no, self.n_cells)
+        started = time.perf_counter()
+        try:
+            result.swept = run_spec(self.spec, max_workers=self.workload.workers)
+        except Exception as exc:  # the round fails as a whole
+            result.fail_cells([f"run_spec raised {exc!r}"], n=self.n_cells)
+        if self.store is not None and result.swept is not None:
+            self._store_round(result, _cell_records(result.swept))
+        result.wall_s = time.perf_counter() - started
+        return result
+
+    def cell_round(self, round_no: int, trace: bool) -> RoundResult:
+        """One round through the cell runner, fanned out like
+        ``run_spec`` (``parallel_map`` over the workload's workers);
+        traced when ``trace`` is set."""
+        tasks = self.tasks(f"r{round_no}", trace)
+        self._ready_store()
         tracer = tracing.Tracer(f"r{round_no}") if trace else None
         started = time.perf_counter()
         if self.workload.workers > 1:
@@ -309,17 +420,21 @@ class Bench:
                 outcomes = parallel_map(
                     cells.run_cell, tasks, max_workers=self.workload.workers
                 )
-            pool_s = time.perf_counter() - started
         else:
             outcomes = [cells.run_cell(task) for task in tasks]
-            pool_s = None
-        result = RoundResult(round_no, outcomes, pool_s=pool_s)
+        pool_s = time.perf_counter() - started
+        result = RoundResult.of_outcomes(round_no, outcomes, pool_s)
         if self.store is not None:
+            records = [
+                (o.variant, o.seed, self._outcome_record(o))
+                for o in outcomes
+                if o.reports  # a failed cell is already counted
+            ]
             if tracer is not None:
                 with tracing.activate(tracer):
-                    self._store_round(result)
+                    self._store_round(result, records)
             else:
-                self._store_round(result)
+                self._store_round(result, records)
         result.wall_s = time.perf_counter() - started
         if tracer is not None:
             tracing.uninstall()
@@ -329,29 +444,29 @@ class Bench:
             result.tracer = tracer
         return result
 
-    def _store_round(self, result: RoundResult) -> None:
-        """Save, reload, list and diff every cell's record."""
-        from repro.experiments.store.compare import compare_runs
+    def _outcome_record(self, outcome):
         from repro.experiments.sweep import SweepResult
 
-        spec = self.spec
-        variants = {v.name: v for v in spec.variants}
+        variants = {v.name: v for v in self.spec.variants}
+        return SweepResult(
+            variants=(variants[outcome.variant],),
+            seeds=(outcome.seed,),
+            reports={outcome.variant: {r.scheduler: (r,) for r in outcome.reports}},
+            settings=self.spec.settings,
+            scale=self.spec.scale,
+        )
+
+    def _store_round(self, result: RoundResult, records) -> None:
+        """Save, reload, list and diff every cell's record; each cell
+        is compared with the previous seed's record of its variant."""
+        from repro.experiments.store.compare import compare_runs
+
         store = self.store
-        for outcome in result.outcomes:
-            if not outcome.reports:
-                continue  # the cell failed; already counted
-            swept = SweepResult(
-                variants=(variants[outcome.variant],),
-                seeds=(outcome.seed,),
-                reports={
-                    outcome.variant: {r.scheduler: (r,) for r in outcome.reports}
-                },
-                settings=spec.settings,
-                scale=spec.scale,
-                elapsed_seconds=outcome.busy_s,
-            )
-            label = f"{outcome.variant} seed={outcome.seed}"
-            name = f"{outcome.variant}-{outcome.seed}-r{result.round_no}"
+        self._store_used = True
+        previous: dict[str, object] = {}
+        for variant, seed, swept in records:
+            label = f"{variant} seed={seed}"
+            name = f"{variant}-{seed}-r{result.round_no}"
             saved = result.op(
                 "store.save", label, lambda: store.save(swept, name=name)
             )
@@ -373,16 +488,37 @@ class Bench:
             )
             if tracing.ACTIVE is not None:
                 tracing.count("store.payload_bytes", len(store.payload(saved.ref)))
-            previous = self._previous.get(outcome.variant)
-            if previous is not None and loaded is not None:
+            before = previous.get(variant)
+            if before is not None and loaded is not None:
                 result.op(
                     "store.compare",
                     label,
-                    lambda: compare_runs(previous, loaded),
-                    lambda rows: _check_diff(rows, previous.result, loaded.result),
+                    lambda: compare_runs(before, loaded),
+                    lambda rows: _check_diff(rows, before.result, loaded.result),
                 )
             if loaded is not None:
-                self._previous[outcome.variant] = loaded
+                previous[variant] = loaded
+
+
+def _cell_records(swept):
+    """``run_spec``'s result cut into one single-cell ``SweepResult``
+    per (variant, seed), in grid order."""
+    from repro.experiments.sweep import SweepResult
+
+    for v in swept.variants:
+        for i, seed in enumerate(swept.seeds):
+            yield v.name, seed, SweepResult(
+                variants=(v,),
+                seeds=(seed,),
+                reports={
+                    v.name: {
+                        name: (reps[i],)
+                        for name, reps in swept.reports[v.name].items()
+                    }
+                },
+                settings=swept.settings,
+                scale=swept.scale,
+            )
 
 
 def _check_diff(rows, before, after) -> list[str]:
