@@ -52,9 +52,8 @@ def test_sufferage_decision_time(benchmark, n_jobs):
     benchmark(sched.schedule, batch)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
 @pytest.mark.parametrize("n_jobs", [10, 50])
-def test_stga_decision_time_paper_budget(benchmark, n_jobs, backend):
+def test_stga_decision_time_paper_budget(benchmark, n_jobs):
     """Full Table 1 budget: 200 chromosomes x 100 generations."""
     batch = make_batch(n_jobs)
     sched = STGAScheduler(
@@ -62,46 +61,9 @@ def test_stga_decision_time_paper_budget(benchmark, n_jobs, backend):
         config=GAConfig(population_size=200, generations=100,
                         flow_weight=1.0),
         rng=0,
-        backend=backend,
     )
     result = benchmark(sched.schedule, batch)
     assert result.n_assigned == n_jobs
-
-
-def test_fast_backend_beats_reference_at_paper_budget():
-    """The fast backend's fused kernels vs the reference path, same
-    seed, bit-identical output (enforced by tests/test_backend_parity).
-
-    The speedup ceiling here is the bit-identity contract itself:
-    mutation must consume two full (P, B) uniform draws per generation
-    to stay on the reference RNG stream, which at 200x50 costs ~90us/gen
-    of irreducible ``Generator.random`` time.  That caps the end-to-end
-    decision speedup near ~2.5x theoretical; measured ~1.6x on one core
-    (see docs/PERF.md for the full accounting).  Assert a robust floor
-    and print the real number.
-    """
-    import time
-
-    batch = make_batch(50)
-    cfg = GAConfig(population_size=200, generations=100, flow_weight=1.0)
-    timings = {}
-    for backend in ("reference", "fast"):
-        sched = STGAScheduler("f-risky", config=cfg, rng=0, backend=backend)
-        sched.schedule(batch)  # warm-up (numpy caches, history insert)
-        reps = 3
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            sched.schedule(batch)
-        timings[backend] = (time.perf_counter() - t0) / reps
-
-    speedup = timings["reference"] / timings["fast"]
-    print(
-        f"\nSTGA decision at paper budget (50 jobs x 20 sites, 200x100): "
-        f"reference {timings['reference'] * 1e3:.1f} ms, "
-        f"fast {timings['fast'] * 1e3:.1f} ms, speedup {speedup:.2f}x"
-    )
-    # Typically ~1.6x; 1.2x keeps the assertion robust on loaded CI.
-    assert speedup > 1.2, f"fast backend only {speedup:.2f}x faster"
 
 
 def test_stga_decision_subsecond_at_paper_budget(benchmark):

@@ -160,7 +160,6 @@ from repro.registry import (
     scheduler_spec,
     workload_spec,
 )
-from repro.util.backend import resolve_backend
 from repro.util.tables import render_table
 
 __all__ = ["main", "build_parser"]
@@ -1674,13 +1673,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse error (2) or --help (0)
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    try:
-        # A bad REPRO_BACKEND would otherwise surface as a traceback
-        # from deep inside the first simulation it reaches.
-        resolve_backend()
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     if args.experiment == "compare-runs":
         return _cmd_compare_runs(args)
     if args.experiment == "sweep":

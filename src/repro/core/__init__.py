@@ -21,13 +21,7 @@ from repro.core.islands import (
     IslandSTGAScheduler,
     evolve_islands,
 )
-from repro.core.operators import (
-    apply_elitism,
-    mutate,
-    roulette_select,
-    selection_weights,
-    single_point_crossover,
-)
+from repro.core.operators import selection_weights
 from repro.core.similarity import (
     batch_similarity,
     population_similarity,
@@ -57,10 +51,6 @@ __all__ = [
     "HistoryEntry",
     "HistoryTable",
     "selection_weights",
-    "roulette_select",
-    "single_point_crossover",
-    "mutate",
-    "apply_elitism",
     "batch_similarity",
     "population_similarity",
     "vector_similarity",

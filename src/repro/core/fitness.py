@@ -8,8 +8,9 @@ makespan is the maximum over sites that received at least one job.
 engine will realise regardless of dispatch order.)
 
 The whole population is evaluated with a single ``bincount`` — no
-Python-level loop over chromosomes — which is what makes 100
-generations x 200 chromosomes per scheduling event affordable.
+Python-level loop over chromosomes — in a reusable
+:class:`FitnessWorkspace`, which is what makes 100 generations x 200
+chromosomes per scheduling event affordable.
 
 ``expected_etc`` implements the optional *risk-penalised* fitness
 (ablation): execution times are inflated by the expected rework cost
@@ -76,53 +77,41 @@ def population_fitness(
     wording ("the completion time of the schedule") does not pin the
     tie-breaking down, and 0 reproduces the literal makespan
     objective.
-    """
-    if flow_weight < 0:
-        raise ValueError(f"flow_weight must be non-negative, got {flow_weight}")
-    check_population(population, context="population_fitness")
-    pop = np.asarray(population, dtype=np.int64)
-    etc = np.asarray(etc, dtype=float)
-    ready = np.asarray(ready, dtype=float)
-    p, b = pop.shape
-    s = etc.shape[1]
-    if etc.shape[0] != b or ready.shape != (s,):
-        raise ValueError(
-            f"incompatible shapes: pop {pop.shape}, etc {etc.shape}, "
-            f"ready {ready.shape}"
-        )
-    check_population(pop, s, context="population_fitness")
 
-    weights = etc[np.arange(b)[None, :], pop]
-    flat = (pop + (np.arange(p)[:, None] * s)).ravel()
-    loads = np.bincount(flat, weights=weights.ravel(), minlength=p * s)
-    loads = loads.reshape(p, s)
-    occupied = np.bincount(flat, minlength=p * s).reshape(p, s) > 0
-    completion = ready[None, :] + loads
-    makespan = np.where(occupied, completion, -np.inf).max(axis=1)
-    if flow_weight == 0.0:
-        return makespan
-    per_job = ready[pop] + weights  # (P, B) backlog-relative completions
-    return makespan + flow_weight * per_job.mean(axis=1)
+    This is the validating entry point: it checks the population
+    against the shapes once, then evaluates it with a one-shot
+    :class:`FitnessWorkspace` — the same code the GA loop runs.
+    """
+    pop = np.asarray(population)
+    check_population(pop, context="population_fitness")
+    ws = FitnessWorkspace(etc, ready, flow_weight=flow_weight)
+    if pop.shape[1] != ws.n_jobs:
+        raise ValueError(
+            f"incompatible shapes: pop {pop.shape}, etc {ws.etc.shape}, "
+            f"ready {ws.ready.shape}"
+        )
+    check_population(pop, ws.n_sites, context="population_fitness")
+    return ws.evaluate(pop)
 
 
 class FitnessWorkspace:
-    """Preallocated, bit-identical fitness evaluator for hot loops.
+    """Preallocated fitness evaluator for the GA's hot loop.
 
-    :func:`population_fitness` re-derives gather indices, re-validates,
-    and runs a second *counting* ``bincount`` just to know which sites
-    are occupied — fine for one call, wasteful for the thousands of
-    generation steps a scheduling decision makes with the **same**
-    ``etc``/``ready``/``flow_weight``.  The workspace hoists everything
-    batch-constant out of the loop and reuses scratch buffers across
-    calls, while performing the same floating-point operations in the
-    same order, so ``evaluate(pop)`` returns the bit-exact value of
-    ``population_fitness(pop, etc, ready, flow_weight=...)``.
+    A scheduling decision evaluates thousands of populations against
+    the **same** ``etc``/``ready``/``flow_weight``.  The workspace
+    hoists everything batch-constant (the flattened ``etc``, the
+    per-job gather offsets, the occupancy shortcut below) out of the
+    loop and reuses its scratch buffers across calls of one population
+    size.  The whole population is evaluated with a single weighted
+    ``bincount`` over per-(chromosome, site) bins — no Python-level
+    loop over chromosomes.  Bins are keyed by row, so a population
+    that stacks several islands evaluates each row exactly as it
+    would alone.
 
     The occupancy shortcut: when every execution time is positive
     (checked once at construction), a site is occupied iff its summed
-    load is positive, so the counting ``bincount`` can be replaced by
-    ``loads > 0``.  With any zero entries in ``etc`` the workspace
-    falls back to the counting ``bincount``.
+    load is positive, so no counting ``bincount`` is needed.  With any
+    zero entries in ``etc`` the workspace falls back to counting.
 
     ``evaluate`` assumes a validated integer population with genes in
     ``[0, n_sites)`` — the GA loop guarantees this because every gene
@@ -172,8 +161,7 @@ class FitnessWorkspace:
         p, s = pop.shape[0], self.n_sites
         self._ensure_buffers(p)
         idx, weights = self._idx, self._weights
-        # weights[i, j] = etc[j, pop[i, j]] — same gather as the fancy
-        # index in population_fitness, via the flattened etc.
+        # weights[i, j] = etc[j, pop[i, j]], via the flattened etc
         np.add(pop, self._job_offsets, out=idx)
         np.take(self._etc_flat, idx, out=weights)
         # per-(chromosome, site) bin index, reusing the idx buffer
@@ -184,7 +172,7 @@ class FitnessWorkspace:
         empty = self._empty_sites
         if self._all_positive:
             # all etc > 0 → a site's summed load is 0 iff no job hit it,
-            # sparing the counting bincount the reference needs.
+            # sparing the counting bincount
             np.less_equal(loads, 0.0, out=empty)
         else:
             counts = np.bincount(flat, minlength=p * s).reshape(p, s)

@@ -8,13 +8,12 @@ found.  The STGA differs from the conventional GA *only* in the
 ``initial`` population it passes in — that is the paper's entire
 "time" dimension — so both schedulers share this module.
 
-The generation step runs on one of two backends (see
-:mod:`repro.util.backend`): ``"reference"`` chains the four copying
-operators, ``"fast"`` ping-pongs two preallocated buffers through the
-fused in-place kernels and a :class:`~repro.core.fitness.FitnessWorkspace`.
-Both consume the RNG identically and return bit-identical results at a
-fixed seed; everything outside the step (seeding, elitism snapshots,
-best tracking, stall logic) is shared code.
+A generation step ping-pongs two preallocated population buffers
+through the fused operator kernels of :mod:`repro.core.operators` and
+evaluates the children with one reusable
+:class:`~repro.core.fitness.FitnessWorkspace`, so the loop allocates
+no population copies.  :func:`intake_seeds` is the one place seed
+chromosomes enter a GA; the island model shares it.
 """
 
 from __future__ import annotations
@@ -26,24 +25,20 @@ import numpy as np
 
 from repro.core.chromosome import (
     EligibleSites,
+    check_population,
     random_population,
     repair_population,
 )
-from repro.core.fitness import FitnessWorkspace, population_fitness
+from repro.core.fitness import FitnessWorkspace
 from repro.core.operators import (
-    apply_elitism,
-    fast_crossover_inplace,
-    fast_elitism_inplace,
-    fast_mutate_inplace,
-    fast_roulette_select_into,
-    mutate,
-    roulette_select,
-    single_point_crossover,
+    crossover_inplace,
+    elitism_inplace,
+    mutate_inplace,
+    roulette_select_into,
 )
-from repro.util.backend import FAST_BACKEND, resolve_backend
 from repro.util.validation import check_probability
 
-__all__ = ["GAConfig", "GAResult", "evolve"]
+__all__ = ["GAConfig", "GAResult", "evolve", "intake_seeds"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +97,43 @@ class GAResult:
     initial_fitness: float = np.nan
 
 
+def intake_seeds(
+    initial: np.ndarray | None,
+    n_jobs: int,
+    capacity: int,
+    *,
+    strict_seeds: bool = False,
+) -> np.ndarray | None:
+    """Validate seed chromosomes and cap them at ``capacity``.
+
+    Returns None when there are no seeds.  Seeds must be integer site
+    indices of ``n_jobs`` genes each — a float seed would otherwise be
+    silently truncated by the eligibility repair's integer cast.
+    Seeds beyond ``capacity`` are dropped with a
+    :class:`RuntimeWarning`, or a :class:`ValueError` when
+    ``strict_seeds``.  Draws no random numbers; the caller repairs the
+    returned seeds' eligibility
+    (:func:`~repro.core.chromosome.repair_population`) from its own
+    stream.
+    """
+    if initial is None or len(initial) == 0:
+        return None
+    seeds = check_population(np.atleast_2d(initial), context="initial seeds")
+    if seeds.shape[1] != n_jobs:
+        raise ValueError(
+            f"seed chromosomes have {seeds.shape[1]} genes, expected {n_jobs}"
+        )
+    if seeds.shape[0] > capacity:
+        msg = (
+            f"{seeds.shape[0]} seed chromosomes exceed the population "
+            f"capacity {capacity}; surplus seeds are dropped"
+        )
+        if strict_seeds:
+            raise ValueError(msg)
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+    return seeds[:capacity]
+
+
 def evolve(
     etc: np.ndarray,
     ready: np.ndarray,
@@ -112,7 +144,6 @@ def evolve(
     initial: np.ndarray | None = None,
     track_history: bool = False,
     strict_seeds: bool = False,
-    backend: str | None = None,
 ) -> GAResult:
     """Run the generational GA and return the best assignment.
 
@@ -130,10 +161,10 @@ def evolve(
     config:
         Hyper-parameters.
     initial:
-        Optional (K, B) seed chromosomes (the STGA's history seeds).
-        They are eligibility-repaired, then topped up with random
-        chromosomes to the configured population size; surplus seeds
-        beyond ``population_size`` are truncated with a
+        Optional (K, B) integer seed chromosomes (the STGA's history
+        seeds).  They are eligibility-repaired, then topped up with
+        random chromosomes to the configured population size; surplus
+        seeds beyond ``population_size`` are truncated with a
         :class:`RuntimeWarning` (the dropped seeds silently losing
         their schedules is almost never intended).
     track_history:
@@ -142,15 +173,9 @@ def evolve(
     strict_seeds:
         Raise :class:`ValueError` instead of warning when ``initial``
         holds more chromosomes than the population can take.
-    backend:
-        ``"reference"`` / ``"fast"`` / None (= ``$REPRO_BACKEND`` or
-        reference).  Bit-identical results either way; see
-        :mod:`repro.util.backend`.
     """
-    backend = resolve_backend(backend)
-    etc = np.asarray(etc, dtype=float)
-    ready = np.asarray(ready, dtype=float)
-    b = etc.shape[0]
+    ws = FitnessWorkspace(etc, ready, flow_weight=config.flow_weight)
+    b = ws.n_jobs
     if b == 0:
         raise ValueError("cannot evolve an empty batch")
     sites = EligibleSites.from_mask(eligibility)
@@ -160,66 +185,39 @@ def evolve(
         )
 
     p = config.population_size
-    if initial is not None and len(initial) > 0:
-        seeds = np.atleast_2d(initial)
-        if seeds.shape[0] > p:
-            msg = (
-                f"{seeds.shape[0]} seed chromosomes exceed "
-                f"population_size {p}; surplus seeds are dropped"
-            )
-            if strict_seeds:
-                raise ValueError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        seeds = seeds[:p]
-        if seeds.shape[1] != b:
-            raise ValueError(
-                f"seed chromosomes have {seeds.shape[1]} genes, expected {b}"
-            )
+    seeds = intake_seeds(initial, b, p, strict_seeds=strict_seeds)
+    if seeds is None:
+        pop = random_population(sites, p, rng)
+    else:
         seeds = repair_population(seeds, sites, rng)
         fill = p - seeds.shape[0]
         if fill > 0:
             pop = np.vstack([seeds, random_population(sites, fill, rng)])
         else:
             pop = seeds
-    else:
-        pop = random_population(sites, p, rng)
+    pop = np.ascontiguousarray(pop, dtype=np.int64)
+    buf = np.empty_like(pop)
 
-    fit = population_fitness(pop, etc, ready, flow_weight=config.flow_weight)
+    fit = ws.evaluate(pop)
     best_idx = int(np.argmin(fit))
     best = pop[best_idx].copy()
     best_fit = float(fit[best_idx])
     initial_fit = best_fit
     history = [best_fit] if track_history else None
 
-    fast = backend == FAST_BACKEND
-    if fast and config.generations > 0:
-        ws = FitnessWorkspace(etc, ready, flow_weight=config.flow_weight)
-        pop = np.ascontiguousarray(pop, dtype=np.int64)
-        buf = np.empty_like(pop)
-
     stall = 0
     gens_run = 0
     for _ in range(config.generations):
         gens_run += 1
         elite_idx = np.argsort(fit)[: config.n_elite]
-        elites = pop[elite_idx].copy()
-        elite_fit = fit[elite_idx].copy()
+        elites, elite_fit = pop[elite_idx], fit[elite_idx]  # copies
 
-        if fast:
-            fast_roulette_select_into(pop, fit, rng, out=buf)
-            pop, buf = buf, pop  # ping-pong: buf now holds the old pop
-            fast_crossover_inplace(pop, config.crossover_prob, rng)
-            fast_mutate_inplace(pop, sites, config.mutation_prob, rng)
-            fit = ws.evaluate(pop)
-            pop, fit = fast_elitism_inplace(pop, fit, elites, elite_fit)
-        else:
-            pop = roulette_select(pop, fit, rng)
-            pop = single_point_crossover(pop, config.crossover_prob, rng)
-            pop = mutate(pop, sites, config.mutation_prob, rng)
-            fit = population_fitness(
-                pop, etc, ready, flow_weight=config.flow_weight
-            )
-            pop, fit = apply_elitism(pop, fit, elites, elite_fit)
+        roulette_select_into(pop, fit, rng, out=buf)
+        pop, buf = buf, pop  # ping-pong: buf now holds the old pop
+        crossover_inplace(pop, config.crossover_prob, rng)
+        mutate_inplace(pop, sites, config.mutation_prob, rng)
+        fit = ws.evaluate(pop)
+        elitism_inplace(pop, fit, elites, elite_fit)
 
         gen_best = int(np.argmin(fit))
         if fit[gen_best] < best_fit:

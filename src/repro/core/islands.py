@@ -29,20 +29,15 @@ from repro.core.chromosome import (
     random_population,
     repair_population,
 )
-from repro.core.fitness import FitnessWorkspace, population_fitness
-from repro.core.ga import GAConfig, GAResult
+from repro.core.fitness import FitnessWorkspace
+from repro.core.ga import GAConfig, GAResult, intake_seeds
 from repro.core.operators import (
-    apply_elitism,
-    fast_crossover_inplace,
-    fast_elitism_inplace,
-    fast_mutate_inplace,
-    fast_roulette_select_into,
-    mutate,
-    roulette_select,
-    single_point_crossover,
+    crossover_inplace,
+    elitism_inplace,
+    mutate_inplace,
+    roulette_select_into,
 )
 from repro.core.stga import STGAScheduler
-from repro.util.backend import FAST_BACKEND, resolve_backend
 from repro.util.rng import spawn
 
 __all__ = ["IslandConfig", "evolve_islands", "IslandSTGAScheduler"]
@@ -89,26 +84,23 @@ def evolve_islands(
     *,
     initial: np.ndarray | None = None,
     track_history: bool = False,
-    backend: str | None = None,
 ) -> GAResult:
     """Island-model counterpart of :func:`repro.core.ga.evolve`.
 
     The total population (``config.population_size``) is split across
-    islands; seeds (if any) are scattered round-robin.  Returns the
-    globally best assignment with the same :class:`GAResult` contract.
+    islands; seeds (if any) are scattered round-robin, and seeds beyond
+    the islands' combined size are dropped with a
+    :class:`RuntimeWarning`.  Returns the globally best assignment
+    with the same :class:`GAResult` contract.
 
-    On the ``"fast"`` backend all islands live as row slices of two
-    big ``(sum(sizes), B)`` ping-pong buffers, and every generation
-    makes **one** batched fitness call over all islands instead of one
-    per island.  Each island still draws from its own spawned RNG in
-    the reference order, and ``bincount`` accumulates per-(chromosome,
-    site) bins independently of the row layout, so the results are
-    bit-identical to the reference path.
+    All islands live as row slices of two contiguous
+    ``(sum(sizes), B)`` ping-pong buffers, and every generation makes
+    **one** batched fitness call over all islands.  Each island still
+    draws from its own spawned RNG, and the fitness bins are keyed by
+    row, so an island evolves exactly as it would alone.
     """
-    backend = resolve_backend(backend)
-    etc = np.asarray(etc, dtype=float)
-    ready = np.asarray(ready, dtype=float)
-    b = etc.shape[0]
+    ws = FitnessWorkspace(etc, ready, flow_weight=config.flow_weight)
+    b = ws.n_jobs
     if b == 0:
         raise ValueError("cannot evolve an empty batch")
     sites = EligibleSites.from_mask(eligibility)
@@ -117,41 +109,30 @@ def evolve_islands(
             f"eligibility covers {sites.n_jobs} jobs but etc has {b}"
         )
 
-    sizes = _island_sizes(config.population_size, islands.n_islands)
-    rngs = spawn(rng, islands.n_islands)
+    n = islands.n_islands
+    sizes = _island_sizes(config.population_size, n)
+    rngs = spawn(rng, n)
+    # Round-robin scatter of the first sum(sizes) seeds: island i gets
+    # seeds i, i+n, i+2n, ..., which are never more than size_i.
+    seed_pool = intake_seeds(initial, b, sum(sizes))
 
     pops: list[np.ndarray] = []
-    seed_pool = (
-        np.atleast_2d(initial) if initial is not None and len(initial) else None
-    )
     for i, (size, irng) in enumerate(zip(sizes, rngs)):
         pop = random_population(sites, size, irng)
         if seed_pool is not None:
-            # Round-robin scatter: island i gets seeds i, i+n, i+2n, ...
-            mine = seed_pool[i :: islands.n_islands][:size]
+            mine = seed_pool[i::n]
             if mine.size:
-                if mine.shape[1] != b:
-                    raise ValueError(
-                        f"seed chromosomes have {mine.shape[1]} genes, "
-                        f"expected {b}"
-                    )
                 pop[: mine.shape[0]] = repair_population(mine, sites, irng)
         pops.append(pop)
 
-    fw = config.flow_weight
-    n = islands.n_islands
-    fast = backend == FAST_BACKEND
-    if fast:
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        cur = np.ascontiguousarray(np.vstack(pops), dtype=np.int64)
-        nxt = np.empty_like(cur)
-        ws = FitnessWorkspace(etc, ready, flow_weight=fw)
-        pops = [cur[bounds[i] : bounds[i + 1]] for i in range(n)]
-        # One (I*P, B) evaluation; per-island fits are views into it.
-        fit_all = population_fitness(cur, etc, ready, flow_weight=fw)
-        fits = [fit_all[bounds[i] : bounds[i + 1]] for i in range(n)]
-    else:
-        fits = [population_fitness(p, etc, ready, flow_weight=fw) for p in pops]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    cur = np.ascontiguousarray(np.vstack(pops), dtype=np.int64)
+    nxt = np.empty_like(cur)
+
+    def split(arr):
+        return [arr[bounds[i] : bounds[i + 1]] for i in range(n)]
+
+    pops, fits = split(cur), split(ws.evaluate(cur))
 
     def global_best():
         idx = [int(np.argmin(f)) for f in fits]
@@ -167,37 +148,23 @@ def evolve_islands(
     stall = 0
     for gen in range(1, config.generations + 1):
         gens_run += 1
-        if fast:
-            snapshots = []
-            for i, irng in enumerate(rngs):
-                pop, fit = pops[i], fits[i]
-                n_elite = min(config.n_elite, len(pop) - 1)
-                elite_idx = np.argsort(fit)[:n_elite]
-                snapshots.append((pop[elite_idx].copy(), fit[elite_idx].copy()))
-                out = nxt[bounds[i] : bounds[i + 1]]
-                fast_roulette_select_into(pop, fit, irng, out=out)
-                fast_crossover_inplace(out, config.crossover_prob, irng)
-                fast_mutate_inplace(out, sites, config.mutation_prob, irng)
-            cur, nxt = nxt, cur
-            fit_all = ws.evaluate(cur)
-            pops = [cur[bounds[i] : bounds[i + 1]] for i in range(n)]
-            fits = [fit_all[bounds[i] : bounds[i + 1]] for i in range(n)]
-            for i, (elites, elite_fit) in enumerate(snapshots):
-                fast_elitism_inplace(pops[i], fits[i], elites, elite_fit)
-        else:
-            for i, irng in enumerate(rngs):
-                pop, fit = pops[i], fits[i]
-                n_elite = min(config.n_elite, len(pop) - 1)
-                elite_idx = np.argsort(fit)[:n_elite]
-                elites, elite_fit = pop[elite_idx].copy(), fit[elite_idx].copy()
-                pop = roulette_select(pop, fit, irng)
-                pop = single_point_crossover(pop, config.crossover_prob, irng)
-                pop = mutate(pop, sites, config.mutation_prob, irng)
-                fit = population_fitness(pop, etc, ready, flow_weight=fw)
-                pops[i], fits[i] = apply_elitism(pop, fit, elites, elite_fit)
+        snapshots = []
+        for i, irng in enumerate(rngs):
+            pop, fit = pops[i], fits[i]
+            n_elite = min(config.n_elite, len(pop) - 1)
+            elite_idx = np.argsort(fit)[:n_elite]
+            snapshots.append((pop[elite_idx], fit[elite_idx]))  # copies
+            out = nxt[bounds[i] : bounds[i + 1]]
+            roulette_select_into(pop, fit, irng, out=out)
+            crossover_inplace(out, config.crossover_prob, irng)
+            mutate_inplace(out, sites, config.mutation_prob, irng)
+        cur, nxt = nxt, cur
+        pops, fits = split(cur), split(ws.evaluate(cur))
+        for i, (elites, elite_fit) in enumerate(snapshots):
+            elitism_inplace(pops[i], fits[i], elites, elite_fit)
 
         if (
-            islands.n_islands > 1
+            n > 1
             and islands.n_migrants > 0
             and gen % islands.migration_interval == 0
         ):
@@ -269,5 +236,4 @@ class IslandSTGAScheduler(STGAScheduler):
             self.islands,
             initial=initial,
             track_history=self.track_history,
-            backend=self.backend,
         )

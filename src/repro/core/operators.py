@@ -12,36 +12,31 @@
 * *Elitism* — the best ``n_elite`` parents overwrite the worst
   children, guaranteeing monotone best-so-far fitness.
 
-Everything is vectorised over the population.
+Everything is vectorised over the population.  The operators are
+fused kernels: they write into a caller-provided buffer or mutate the
+population in place, so a generation step allocates no population
+copies.  The GA loop (:func:`repro.core.ga.evolve`) owns the buffers
+and guarantees the inputs are validated integer populations.
 
-Each operator ships in two forms: the reference implementation
-(`roulette_select` / `single_point_crossover` / `mutate` /
-`apply_elitism`) and a fused ``fast_*`` counterpart used by the
-``"fast"`` backend (see :mod:`repro.util.backend`).  The fast kernels
-write into caller-provided buffers or in place instead of copying the
-population three times per generation, but they draw from the RNG in
-**exactly the same order and sizes** as the reference — so at a fixed
-seed the two paths produce bit-identical populations, generation by
-generation.  ``tests/test_backend_parity.py`` enforces both the output
-equality and the RNG-stream equivalence.
+The RNG draws are part of each kernel's contract — which calls, of
+which sizes, in which order — because every committed baseline was
+produced by exactly this stream.  ``tests/ga_oracle.py`` keeps plain
+copying versions of the four operators and the kernel tests diff both
+the outputs and the post-call generator state against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.chromosome import EligibleSites, check_population
+from repro.core.chromosome import EligibleSites
 
 __all__ = [
     "selection_weights",
-    "roulette_select",
-    "single_point_crossover",
-    "mutate",
-    "apply_elitism",
-    "fast_roulette_select_into",
-    "fast_crossover_inplace",
-    "fast_mutate_inplace",
-    "fast_elitism_inplace",
+    "roulette_select_into",
+    "crossover_inplace",
+    "mutate_inplace",
+    "elitism_inplace",
 ]
 
 #: floor weight as a fraction of the fitness span, keeps the wheel
@@ -64,107 +59,19 @@ def selection_weights(fitness: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def roulette_select(
-    population: np.ndarray, fitness: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample a new (P, B) population with replacement from the wheel."""
-    pop = np.asarray(population)
-    check_population(pop, context="roulette_select")
-    probs = selection_weights(fitness)
-    idx = rng.choice(pop.shape[0], size=pop.shape[0], p=probs)
-    return pop[idx]
-
-
-def single_point_crossover(
-    population: np.ndarray, prob: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Crossover adjacent pairs; odd trailing chromosome passes through.
-
-    For each pair, with probability ``prob`` a cut point k in [1, B-1]
-    is drawn and the two tails ``[k:]`` are exchanged.  Chromosomes of
-    length 1 cannot cross and are returned unchanged.
-    """
-    pop = np.array(population, copy=True)
-    check_population(pop, context="single_point_crossover")
-    p, b = pop.shape
-    if b < 2 or p < 2 or prob <= 0:
-        return pop
-    n_pairs = p // 2
-    a = pop[0 : 2 * n_pairs : 2]
-    c = pop[1 : 2 * n_pairs : 2]
-    crossing = rng.random(n_pairs) < prob
-    points = rng.integers(1, b, size=n_pairs)
-    tail = (np.arange(b)[None, :] >= points[:, None]) & crossing[:, None]
-    new_a = np.where(tail, c, a)
-    new_c = np.where(tail, a, c)
-    pop[0 : 2 * n_pairs : 2] = new_a
-    pop[1 : 2 * n_pairs : 2] = new_c
-    return pop
-
-
-def mutate(
-    population: np.ndarray,
-    sites: EligibleSites,
-    prob: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-gene mutation: resample an eligible site with prob ``prob``."""
-    pop = np.array(population, copy=True)
-    check_population(pop, context="mutate")
-    if prob <= 0:
-        return pop
-    mask = rng.random(pop.shape) < prob
-    if mask.any():
-        fresh = sites.sample(rng, pop.shape)
-        pop[mask] = fresh[mask]
-    return pop
-
-
-def apply_elitism(
-    children: np.ndarray,
-    child_fitness: np.ndarray,
-    elites: np.ndarray,
-    elite_fitness: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite the worst children with the elite parents.
-
-    Returns the updated (population, fitness) pair; inputs are not
-    modified.  Guarantees the best fitness never regresses between
-    generations.
-    """
-    n_elite = elites.shape[0]
-    if n_elite == 0:
-        return children, child_fitness
-    pop = np.array(children, copy=True)
-    fit = np.array(child_fitness, dtype=float, copy=True)
-    worst = np.argsort(fit)[-n_elite:]
-    pop[worst] = elites
-    fit[worst] = elite_fitness
-    return pop, fit
-
-
-# ----------------------------------------------------------------------
-# Fast-backend kernels.  Each is the RNG-stream-equivalent twin of the
-# reference operator above: identical draws (same calls, same sizes,
-# same order), identical output values — only the allocation strategy
-# differs (caller-provided buffers / in-place mutation instead of a
-# fresh copy per operator).  The parity suite diffs them generation by
-# generation; any divergence is a bug here, never "numerical noise".
-
-
-def fast_roulette_select_into(
+def roulette_select_into(
     population: np.ndarray,
     fitness: np.ndarray,
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Roulette selection writing the new population into ``out``.
+    """Sample a new (P, B) population with replacement into ``out``.
 
     Replicates ``rng.choice(P, size=P, p=probs)`` without its per-call
     validation and allocation overhead: ``Generator.choice`` with
     probabilities draws ``rng.random(P)`` and inverts the CDF with a
     right-sided ``searchsorted`` — doing exactly that here keeps both
-    the consumed stream and the selected indices bit-identical.
+    the consumed stream and the selected indices identical to it.
     ``out`` must not alias ``population``.
     """
     probs = selection_weights(fitness)
@@ -175,15 +82,18 @@ def fast_roulette_select_into(
     return out
 
 
-def fast_crossover_inplace(
+def crossover_inplace(
     population: np.ndarray, prob: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Single-point tail swap of adjacent pairs, in place.
+    """Crossover adjacent pairs in place; an odd trailing chromosome
+    passes through.
 
-    Same draws as :func:`single_point_crossover`; the tail exchange is
-    an XOR swap on the integer genes (`a ^= d; c ^= d` with
-    ``d = (a ^ c) * tail``), which is exact for integers and avoids
-    the two full-population ``np.where`` temporaries.
+    For each pair, with probability ``prob`` a cut point k in [1, B-1]
+    is drawn and the two tails ``[k:]`` are exchanged.  Chromosomes of
+    length 1 cannot cross and are returned unchanged.  The exchange is
+    an XOR swap on the integer genes (``a ^= d; c ^= d`` with
+    ``d = (a ^ c) * tail``), which is exact for integers and needs no
+    full-population temporaries.
     """
     p, b = population.shape
     if b < 2 or p < 2 or prob <= 0:
@@ -201,17 +111,18 @@ def fast_crossover_inplace(
     return population
 
 
-def fast_mutate_inplace(
+def mutate_inplace(
     population: np.ndarray,
     sites: EligibleSites,
     prob: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-gene mutation in place, resampling only the hit genes.
+    """Per-gene mutation in place: resample an eligible site with
+    probability ``prob``.
 
-    Draws the same two full-shape uniforms as the reference (`mutate`
-    then ``EligibleSites.sample``) but evaluates the site lookup only
-    at the ~``prob * P * B`` mutated positions instead of all of them.
+    Draws two full-shape uniforms — the hit mask, then the
+    :meth:`EligibleSites.sample` uniforms — but evaluates the site
+    lookup only at the ~``prob * P * B`` mutated positions.
     """
     if prob <= 0:
         return population
@@ -225,16 +136,16 @@ def fast_mutate_inplace(
     return population
 
 
-def fast_elitism_inplace(
+def elitism_inplace(
     population: np.ndarray,
     fitness: np.ndarray,
     elites: np.ndarray,
     elite_fitness: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`apply_elitism` without the defensive copies.
+    """Overwrite the worst children with the elite parents, in place.
 
-    ``population``/``fitness`` are mutated and returned; the caller
-    owns them (the fast generation loop's ping-pong buffers).
+    ``population``/``fitness`` are mutated and returned.  Guarantees
+    the best fitness never regresses between generations.
     """
     n_elite = elites.shape[0]
     if n_elite:

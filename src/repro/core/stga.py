@@ -28,7 +28,6 @@ from repro.grid.batch import Batch, ScheduleResult
 from repro.grid.security import DEFAULT_LAMBDA, RiskMode
 from repro.heuristics.base import BatchScheduler, SecurityDrivenScheduler
 from repro.registry import register_scheduler
-from repro.util.backend import resolve_backend
 from repro.util.rng import as_generator
 from repro.util.validation import check_non_negative
 
@@ -57,12 +56,6 @@ class _GASchedulerBase(SecurityDrivenScheduler):
         0 reproduces the paper.
     rng:
         Seed or generator for all GA randomness.
-    backend:
-        GA execution backend — ``"reference"``, ``"fast"``, or None to
-        defer to ``$REPRO_BACKEND`` at decision time (see
-        :mod:`repro.util.backend`).  Bit-identical either way, so this
-        is a pure performance knob; it also arrives via the registry
-        ref grammar, e.g. ``"stga?backend=fast"``.
     """
 
     def __init__(
@@ -74,12 +67,8 @@ class _GASchedulerBase(SecurityDrivenScheduler):
         config: GAConfig | None = None,
         risk_penalty: float = 0.0,
         rng: int | np.random.Generator | None = 0,
-        backend: str | None = None,
     ) -> None:
         super().__init__(mode, f=f, lam=lam)
-        if backend is not None:
-            resolve_backend(backend)  # fail fast on typos
-        self.backend = backend
         self.config = config if config is not None else GAConfig()
         self.risk_penalty = check_non_negative("risk_penalty", risk_penalty)
         self.rng = as_generator(rng)
@@ -123,7 +112,6 @@ class _GASchedulerBase(SecurityDrivenScheduler):
             self.config,
             initial=initial,
             track_history=self.track_history,
-            backend=self.backend,
         )
 
     def schedule(self, batch: Batch) -> ScheduleResult:
@@ -228,7 +216,6 @@ class STGAScheduler(_GASchedulerBase):
         config: GAConfig | None = None,
         risk_penalty: float = 0.0,
         rng: int | np.random.Generator | None = 0,
-        backend: str | None = None,
         history: HistoryTable | None = None,
         max_seed_fraction: float = 0.5,
         heuristic_seeds: bool = True,
@@ -240,7 +227,6 @@ class STGAScheduler(_GASchedulerBase):
             config=config,
             risk_penalty=risk_penalty,
             rng=rng,
-            backend=backend,
         )
         if not (0.0 < max_seed_fraction <= 1.0):
             raise ValueError(

@@ -10,7 +10,7 @@ from repro.grid.batch import (
 )
 from repro.grid.engine import GridSimulator, SchedulerDeadlock, SimulationResult
 from repro.grid.etc import completion_matrix, etc_matrix, masked_completion
-from repro.grid.events import ArrayEventQueue, Event, EventKind, EventQueue, make_event_queue
+from repro.grid.events import Event, EventKind, EventQueue
 from repro.grid.job import Job, JobRecord, JobState
 from repro.grid.reliability import (
     BUILTIN_LAWS,
@@ -55,8 +55,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventQueue",
-    "ArrayEventQueue",
-    "make_event_queue",
     "Job",
     "JobRecord",
     "JobState",

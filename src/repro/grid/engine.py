@@ -37,14 +37,13 @@ import numpy as np
 
 from repro.grid.batch import Batch, ScheduleResult, check_order_permutation
 from repro.grid.etc import etc_matrix
-from repro.grid.events import Event, EventKind, make_event_queue
+from repro.grid.events import Event, EventKind, EventQueue
 from repro.grid.job import Job, JobRecord, JobState
 from repro.grid.reliability import ExponentialFailure, FailureLaw
 from repro.grid.security import DEFAULT_LAMBDA
 from repro.grid.site import Grid
 from repro.grid.timeline import DynamicTimeline
 from repro.grid.trace import Attempt, AttemptLog
-from repro.util.backend import resolve_backend
 from repro.util.rng import as_generator
 from repro.util.timing import Stopwatch
 from repro.util.validation import check_positive
@@ -130,11 +129,6 @@ class GridSimulator:
     record_attempts:
         Keep a per-attempt :class:`~repro.grid.trace.AttemptLog` in
         the result (costs one record per dispatch).
-    backend:
-        Event-queue backend — ``"reference"``, ``"fast"``, or None to
-        defer to ``$REPRO_BACKEND`` when :meth:`run` starts (see
-        :mod:`repro.util.backend`).  Both queues pop events in the
-        identical deterministic order, so results are bit-identical.
     """
 
     def __init__(
@@ -149,7 +143,6 @@ class GridSimulator:
         rng: int | np.random.Generator | None = 0,
         failure_law: FailureLaw | None = None,
         record_attempts: bool = False,
-        backend: str | None = None,
     ) -> None:
         if not hasattr(scheduler, "schedule"):
             raise TypeError(
@@ -165,9 +158,6 @@ class GridSimulator:
             )
         check_positive("batch_interval", batch_interval)
         check_positive("lam", lam)
-        if backend is not None:
-            resolve_backend(backend)  # fail fast on typos
-        self.backend = backend
         self.grid = grid
         self.scheduler = scheduler
         self.batch_interval = float(batch_interval)
@@ -207,7 +197,7 @@ class GridSimulator:
         if len(by_id) != len(jobs):
             raise ValueError("duplicate job_ids in workload")
 
-        events = make_event_queue(self.backend)
+        events = EventQueue()
         for j in jobs:
             events.push(Event(j.arrival, EventKind.ARRIVAL, j.job_id))
 

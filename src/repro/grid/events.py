@@ -29,17 +29,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.util.backend import FAST_BACKEND, resolve_backend
-
-__all__ = [
-    "EventKind",
-    "Event",
-    "EventQueue",
-    "ArrayEventQueue",
-    "make_event_queue",
-]
+__all__ = ["EventKind", "Event", "EventQueue"]
 
 
 class EventKind(enum.IntEnum):
@@ -104,119 +94,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-
-#: structured record backing :class:`ArrayEventQueue`; field order is
-#: exactly the (time, kind, seq) total order plus the payload.
-EVENT_DTYPE = np.dtype(
-    [
-        ("time", np.float64),
-        ("kind", np.int64),
-        ("seq", np.int64),
-        ("payload", np.int64),
-    ]
-)
-
-
-class ArrayEventQueue:
-    """The ``"fast"`` event queue: a lexsorted structured array plus a
-    small dynamic heap.
-
-    The engine's queue has a very lopsided access pattern: the whole
-    workload's arrivals are pushed up front, then pops interleave with
-    a trickle of SCHEDULE/COMPLETION pushes.  This queue exploits that
-    shape — pushes before the first pop buffer in a list and are
-    frozen into one ``np.lexsort``-ordered structured array; later
-    pushes go to a ``heapq`` overflow; each pop takes the smaller of
-    the two heads under the same ``(time, kind, seq)`` total order.
-
-    The overflow path is public API: callers that know the up-front
-    event set is complete may call :meth:`freeze` explicitly, after
-    which every further :meth:`push` — the dynamic CANCEL/SITE_DOWN/
-    SITE_UP stream included — lands on the heap segment.  (The first
-    pop freezes implicitly, so calling it is never required.)
-
-    Because the sequence number is unique and monotone across both
-    segments, the pop order is **identical** to :class:`EventQueue` for
-    any push/pop interleaving — enforced by the parity suite.
-    """
-
-    def __init__(self) -> None:
-        self._pending: list[tuple] = []  # pushes before the freeze
-        self._static: np.ndarray | None = None
-        self._pos = 0  # next unpopped index into the static segment
-        self._heap: list[tuple] = []  # pushes after the freeze
-        self._counter = itertools.count()
-
-    def push(self, event: Event) -> None:
-        """Insert ``event``."""
-        if event.time < 0 or event.time != event.time:  # negative or NaN
-            raise ValueError(f"invalid event time {event.time!r}")
-        item = (event.time, int(event.kind), next(self._counter), event.payload)
-        if self._static is None:
-            self._pending.append(item)
-        else:
-            heapq.heappush(self._heap, item)
-
-    def freeze(self) -> None:
-        """Seal the up-front push buffer into the sorted static segment.
-
-        Idempotent; implicit on the first pop.  After freezing, pushes
-        take the heap overflow path, which preserves the global pop
-        order — this is the entry point dynamic event streams use.
-        """
-        if self._static is not None:
-            return
-        arr = np.array(self._pending, dtype=EVENT_DTYPE)
-        self._pending.clear()
-        order = np.lexsort((arr["seq"], arr["kind"], arr["time"]))
-        self._static = arr[order]
-        self._pos = 0
-
-    def _static_head(self) -> tuple | None:
-        if self._static is None or self._pos >= len(self._static):
-            return None
-        rec = self._static[self._pos]
-        return (float(rec["time"]), int(rec["kind"]), int(rec["seq"]))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if self._static is None:
-            if not self._pending:
-                raise IndexError("pop from an empty event queue")
-            self.freeze()
-        head = self._static_head()
-        if self._heap and (head is None or self._heap[0][:3] < head):
-            time, kind, _, payload = heapq.heappop(self._heap)
-        elif head is not None:
-            rec = self._static[self._pos]
-            self._pos += 1
-            time, kind, payload = rec["time"], rec["kind"], rec["payload"]
-        else:
-            raise IndexError("pop from an empty event queue")
-        return Event(float(time), EventKind(int(kind)), int(payload))
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest event (inf if empty)."""
-        if self._static is None and self._pending:
-            self.freeze()
-        head = self._static_head()
-        times = [t for t in (
-            head[0] if head is not None else None,
-            self._heap[0][0] if self._heap else None,
-        ) if t is not None]
-        return min(times) if times else float("inf")
-
-    def __len__(self) -> int:
-        n_static = 0 if self._static is None else len(self._static) - self._pos
-        return len(self._pending) + n_static + len(self._heap)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-
-def make_event_queue(backend: str | None = None) -> EventQueue | ArrayEventQueue:
-    """Build the event queue for ``backend`` (see :mod:`repro.util.backend`)."""
-    if resolve_backend(backend) == FAST_BACKEND:
-        return ArrayEventQueue()
-    return EventQueue()

@@ -69,13 +69,6 @@ with these rules (see :func:`parse_scheduler_ref`):
 * Refs are compared as plain strings (a spec's ``schedulers`` must be
   distinct *as refs*), so ``"stga?a=1&b=2"`` and ``"stga?b=2&a=1"``
   are different refs that build identical schedulers.
-* Factories whose schedulers take an execution backend accept it as
-  an ordinary parameter: ``"stga?backend=fast"`` runs that lineup
-  entry on the vectorised fast path (bit-identical to the reference —
-  see :mod:`repro.util.backend` and ``docs/PERF.md``).  There is no
-  registry-level special case; the key flows to the factory like any
-  other, and the process-wide ``REPRO_BACKEND`` environment variable
-  covers schedulers addressed without it.
 
 Unified invocation (``ScheduleFn``)
 -----------------------------------

@@ -1,61 +1,53 @@
-"""Differential parity suite: ``backend=fast`` vs ``backend=reference``.
+"""Differential suite: the shipped GA step and event queue against the
+test-local oracle in ``ga_oracle.py``.
 
-The fast backend (fused GA kernels, batched island fitness, structured
--array event queue — see :mod:`repro.util.backend`) is only allowed to
-exist because it is **bit-identical** to the reference at any fixed
-seed.  This suite is the mechanical enforcement:
+The GA has one implementation — fused in-place kernels plus a reusable
+:class:`FitnessWorkspace` — and the engine one heap event queue.  This
+suite is their mechanical check:
 
+* per kernel: the same output as the copying oracle operator **and**
+  the same RNG-stream consumption (same draws, same order, same
+  post-call generator state), plus eligibility/permutation validity;
+* :class:`FitnessWorkspace` is bit-exact against a naive
+  per-chromosome fitness, including the zero-etc counting fallback;
+* whole generational loops (:func:`evolve`, :func:`evolve_islands`)
+  are bit-identical to the same loop composed from oracle operators;
+* the heap queue pops in exactly the order of a sorted-list oracle
+  under arbitrary push/pop interleavings;
 * randomized end-to-end scenarios (random grids, job streams, failure
-  laws, history capacities) run through :func:`run_lineup` and
-  :class:`GridSimulator` on both backends, and every result payload —
-  excluding wall-clock ``scheduler_seconds`` — must match exactly;
-* property tests pin the per-kernel contracts: RNG-stream equivalence
-  (same draws, same order, same post-call generator state),
-  eligibility/permutation validity of fast operator outputs, bit-exact
-  :class:`FitnessWorkspace` evaluation, and identical event-queue pop
-  order under arbitrary push/pop interleavings.
+  laws, history capacities) reproduce bit for bit from their seed.
 """
-
-import os
 
 import numpy as np
 import pytest
+from ga_oracle import (
+    SortedEventQueue,
+    apply_elitism,
+    mutate,
+    naive_fitness,
+    oracle_evolve,
+    oracle_evolve_islands,
+    roulette_select,
+    single_point_crossover,
+)
 
 from repro.core.chromosome import EligibleSites, check_population
 from repro.core.fitness import FitnessWorkspace, population_fitness
 from repro.core.ga import GAConfig, evolve
 from repro.core.islands import IslandConfig, evolve_islands
 from repro.core.operators import (
-    apply_elitism,
-    fast_crossover_inplace,
-    fast_elitism_inplace,
-    fast_mutate_inplace,
-    fast_roulette_select_into,
-    mutate,
-    roulette_select,
-    single_point_crossover,
+    crossover_inplace,
+    elitism_inplace,
+    mutate_inplace,
+    roulette_select_into,
 )
-from repro.core.stga import STGAScheduler
 from repro.experiments.config import RunSettings
 from repro.experiments.runner import run_lineup
 from repro.grid.engine import GridSimulator
-from repro.grid.events import (
-    ArrayEventQueue,
-    Event,
-    EventKind,
-    EventQueue,
-    make_event_queue,
-)
+from repro.grid.events import Event, EventKind, EventQueue
 from repro.grid.job import Job
 from repro.grid.site import Grid, Site
 from repro.heuristics.minmin import MinMinScheduler
-from repro.util.backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    FAST_BACKEND,
-    REFERENCE_BACKEND,
-    resolve_backend,
-)
 from repro.workloads.base import Scenario
 
 # ----------------------------------------------------------------------
@@ -103,10 +95,10 @@ def scenario_settings(seed: int) -> RunSettings:
     )
 
 
-def assert_reports_identical(ref_reports, fast_reports):
+def assert_reports_identical(first, second):
     """Bit-identical PerformanceReports modulo wall-clock timing."""
-    assert len(ref_reports) == len(fast_reports)
-    for a, b in zip(ref_reports, fast_reports):
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
         da, db = a.to_dict(), b.to_dict()
         da.pop("scheduler_seconds")
         db.pop("scheduler_seconds")
@@ -140,76 +132,41 @@ def assert_sim_results_identical(a, b):
 
 class TestEndToEndParity:
     @pytest.mark.parametrize("seed", range(N_SCENARIOS))
-    def test_run_lineup_bit_identical(self, seed, monkeypatch):
-        """The tentpole criterion: a whole lineup run — heuristics,
-        engine, STGA with its history table — produces bit-identical
-        reports when every backend knob is flipped to fast via the
-        environment."""
+    def test_run_lineup_bit_identical(self, seed):
+        """A whole lineup run — heuristics, engine, STGA with its
+        history table — is a pure function of its seed: a second run
+        reproduces every report bit for bit (no state leaks between
+        runs through reused buffers or caches)."""
         scenario = random_scenario(seed)
         settings = scenario_settings(seed)
         # vary the history capacity across scenarios too
         stga_ref = "stga" if seed % 2 == 0 else "stga?capacity=10"
         lineup = ("min-min-risky", "sufferage-secure", stga_ref)
 
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        ref = run_lineup(scenario, None, settings, lineup=lineup)
-        monkeypatch.setenv(BACKEND_ENV_VAR, FAST_BACKEND)
-        fast = run_lineup(scenario, None, settings, lineup=lineup)
-        assert_reports_identical(ref, fast)
-
-    @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_backend_ref_param_matches_reference(self, seed, monkeypatch):
-        """``stga?backend=fast`` through the registry (no env var)
-        equals the plain ``stga`` reference run."""
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        scenario = random_scenario(seed)
-        settings = scenario_settings(seed)
-        ref = run_lineup(scenario, None, settings, lineup=("stga",))
-        fast = run_lineup(
-            scenario, None, settings, lineup=("stga?backend=fast&label=STGA",)
-        )
-        assert_reports_identical(ref, fast)
+        first = run_lineup(scenario, None, settings, lineup=lineup)
+        second = run_lineup(scenario, None, settings, lineup=lineup)
+        assert_reports_identical(first, second)
 
     @pytest.mark.parametrize("seed", [1, 4, 9, 13])
     def test_simulation_result_payloads_identical(self, seed):
-        """GridSimulator(backend=fast) reproduces every field of the
-        reference SimulationResult, including per-job records and
-        failure/resubmission bookkeeping."""
+        """GridSimulator reproduces every field of its SimulationResult,
+        including per-job records and failure/resubmission
+        bookkeeping, from the seed alone."""
         scenario = random_scenario(seed)
         results = []
-        for backend in BACKENDS:
+        for _ in range(2):
             sim = GridSimulator(
                 scenario.grid,
                 MinMinScheduler("risky"),
                 batch_interval=500.0,
                 lam=1.0,  # failure-heavy: exercises secure-only resubmits
                 rng=seed,
-                backend=backend,
             )
             results.append(sim.run(scenario.jobs))
         assert_sim_results_identical(results[0], results[1])
         assert any(r.ever_failed for r in results[0].records), (
             "scenario produced no failures — the secure-only path "
             "went untested"
-        )
-
-    def test_stga_scheduler_backend_kwarg(self):
-        """Explicit backend= on the scheduler class, full decision."""
-        scenario = random_scenario(2)
-        sims = {}
-        for backend in BACKENDS:
-            sched = STGAScheduler(
-                config=GAConfig(population_size=14, generations=8),
-                rng=3,
-                backend=backend,
-            )
-            sim = GridSimulator(
-                scenario.grid, sched, batch_interval=800.0, rng=5,
-                backend=backend,
-            )
-            sims[backend] = sim.run(scenario.jobs)
-        assert_sim_results_identical(
-            sims[REFERENCE_BACKEND], sims[FAST_BACKEND]
         )
 
 
@@ -230,6 +187,8 @@ def random_problem(seed, with_zero_etc=False):
 
 
 class TestEvolveParity:
+    """The fused loops against the same loop built from oracle parts."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_evolve_bit_identical(self, seed):
         etc, ready, elig = random_problem(seed)
@@ -240,12 +199,9 @@ class TestEvolveParity:
             n_elite=int(rng.integers(0, 3)),
             flow_weight=float(rng.choice([0.0, 0.25])),
         )
-        runs = [
-            evolve(etc, ready, elig, np.random.default_rng(seed), cfg,
-                   backend=bk, track_history=True)
-            for bk in BACKENDS
-        ]
-        a, b = runs
+        a = evolve(etc, ready, elig, np.random.default_rng(seed), cfg,
+                   track_history=True)
+        b = oracle_evolve(etc, ready, elig, np.random.default_rng(seed), cfg)
         np.testing.assert_array_equal(a.best, b.best)
         assert a.best_fitness == b.best_fitness
         assert a.initial_fitness == b.initial_fitness
@@ -254,6 +210,8 @@ class TestEvolveParity:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_evolve_islands_bit_identical(self, seed):
+        """One batched fitness call over the contiguous island array
+        equals evaluating every island on its own."""
         etc, ready, elig = random_problem(100 + seed)
         rng = np.random.default_rng(seed)
         cfg = GAConfig(
@@ -265,27 +223,24 @@ class TestEvolveParity:
             migration_interval=int(rng.integers(1, 6)),
             n_migrants=int(rng.integers(0, 4)),
         )
-        runs = [
-            evolve_islands(etc, ready, elig, np.random.default_rng(seed),
-                           cfg, isl, backend=bk, track_history=True)
-            for bk in BACKENDS
-        ]
-        a, b = runs
+        a = evolve_islands(etc, ready, elig, np.random.default_rng(seed),
+                           cfg, isl, track_history=True)
+        b = oracle_evolve_islands(
+            etc, ready, elig, np.random.default_rng(seed), cfg, isl
+        )
         np.testing.assert_array_equal(a.best, b.best)
         assert a.best_fitness == b.best_fitness
         np.testing.assert_array_equal(a.history, b.history)
 
     def test_rng_stream_position_identical_after_evolve(self):
-        """Both backends must leave the shared generator at the same
-        stream position — otherwise everything downstream diverges."""
+        """evolve must leave the shared generator where the oracle loop
+        does — otherwise everything downstream diverges."""
         etc, ready, elig = random_problem(5)
         cfg = GAConfig(population_size=20, generations=10)
-        draws = []
-        for bk in BACKENDS:
-            g = np.random.default_rng(17)
-            evolve(etc, ready, elig, g, cfg, backend=bk)
-            draws.append(g.random(8))
-        np.testing.assert_array_equal(draws[0], draws[1])
+        g1, g2 = np.random.default_rng(17), np.random.default_rng(17)
+        evolve(etc, ready, elig, g1, cfg)
+        oracle_evolve(etc, ready, elig, g2, cfg)
+        np.testing.assert_array_equal(g1.random(8), g2.random(8))
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +254,8 @@ def make_sites(rng, b, s):
 
 
 class TestOperatorStreamEquivalence:
-    """Each fast kernel: same output AND same RNG stream consumption."""
+    """Each kernel: same output AND same RNG stream consumption as
+    its oracle operator."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roulette(self, seed):
@@ -309,7 +265,7 @@ class TestOperatorStreamEquivalence:
         g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = roulette_select(pop, fit, g1)
         out = np.empty_like(pop)
-        fast_roulette_select_into(pop, fit, g2, out)
+        roulette_select_into(pop, fit, g2, out)
         np.testing.assert_array_equal(ref, out)
         assert g1.random() == g2.random()
 
@@ -320,8 +276,8 @@ class TestOperatorStreamEquivalence:
         pop = rng.integers(0, 6, size=(15, 8))  # odd P: trailing row
         g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = single_point_crossover(pop, prob, g1)
-        fast = fast_crossover_inplace(pop.copy(), prob, g2)
-        np.testing.assert_array_equal(ref, fast)
+        out = crossover_inplace(pop.copy(), prob, g2)
+        np.testing.assert_array_equal(ref, out)
         assert g1.random() == g2.random()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -332,8 +288,8 @@ class TestOperatorStreamEquivalence:
         pop = sites.sample(rng, (13, 11))
         g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = mutate(pop, sites, prob, g1)
-        fast = fast_mutate_inplace(pop.copy(), sites, prob, g2)
-        np.testing.assert_array_equal(ref, fast)
+        out = mutate_inplace(pop.copy(), sites, prob, g2)
+        np.testing.assert_array_equal(ref, out)
         assert g1.random() == g2.random()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -344,13 +300,13 @@ class TestOperatorStreamEquivalence:
         elites = rng.integers(0, 5, size=(3, 6))
         efit = rng.uniform(0, 1, size=3)
         ref_pop, ref_fit = apply_elitism(pop, fit, elites, efit)
-        fpop, ffit = fast_elitism_inplace(pop.copy(), fit.copy(), elites, efit)
+        fpop, ffit = elitism_inplace(pop.copy(), fit.copy(), elites, efit)
         np.testing.assert_array_equal(ref_pop, fpop)
         np.testing.assert_array_equal(ref_fit, ffit)
 
 
 class TestOperatorValidity:
-    """Permutation/eligibility validity of fast kernel outputs."""
+    """Permutation/eligibility validity of the kernel outputs."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roulette_rows_come_from_population(self, seed):
@@ -358,7 +314,7 @@ class TestOperatorValidity:
         pop = rng.integers(0, 9, size=(20, 5))
         fit = rng.uniform(1, 10, size=20)
         out = np.empty_like(pop)
-        fast_roulette_select_into(pop, fit, np.random.default_rng(seed), out)
+        roulette_select_into(pop, fit, np.random.default_rng(seed), out)
         rows = {tuple(r) for r in pop}
         assert all(tuple(r) in rows for r in out)
 
@@ -369,7 +325,7 @@ class TestOperatorValidity:
         rng = np.random.default_rng(seed)
         pop = rng.integers(0, 9, size=(16, 6))
         before = np.sort(pop, axis=0)
-        out = fast_crossover_inplace(pop.copy(), 1.0, np.random.default_rng(seed))
+        out = crossover_inplace(pop.copy(), 1.0, np.random.default_rng(seed))
         np.testing.assert_array_equal(np.sort(out, axis=0), before)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -377,7 +333,7 @@ class TestOperatorValidity:
         rng = np.random.default_rng(seed)
         sites, elig = make_sites(rng, 9, 6)
         pop = sites.sample(rng, (14, 9))
-        out = fast_mutate_inplace(pop, sites, 0.9, np.random.default_rng(seed))
+        out = mutate_inplace(pop, sites, 0.9, np.random.default_rng(seed))
         assert sites.allowed(out).all()
 
 
@@ -399,9 +355,11 @@ class TestPopulationValidation:
             check_population(np.zeros(3, dtype=int))
 
     def test_context_named_in_error(self):
-        with pytest.raises(TypeError, match="roulette_select"):
-            roulette_select(
-                np.zeros((4, 2)), np.ones(4), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="initial seeds"):
+            evolve(
+                np.ones((3, 2)), np.zeros(2), np.ones((3, 2), bool),
+                np.random.default_rng(0), GAConfig(population_size=4),
+                initial=np.zeros((2, 3, 1), dtype=int),
             )
 
     def test_population_fitness_rejects_float_population(self):
@@ -413,18 +371,21 @@ class TestPopulationValidation:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda pop: single_point_crossover(
-                pop, 0.5, np.random.default_rng(0)
+            lambda pop: evolve(
+                np.ones((3, 2)), np.zeros(2), np.ones((3, 2), bool),
+                np.random.default_rng(0), GAConfig(population_size=4),
+                initial=pop,
             ),
-            lambda pop: mutate(
-                pop,
-                EligibleSites.from_mask(np.ones((3, 2), bool)),
-                0.5,
-                np.random.default_rng(0),
+            lambda pop: evolve_islands(
+                np.ones((3, 2)), np.zeros(2), np.ones((3, 2), bool),
+                np.random.default_rng(0), GAConfig(population_size=4),
+                initial=pop,
             ),
         ],
     )
     def test_operators_reject_float_population(self, op):
+        """The kernels trust their input; a float population is
+        stopped where it enters the GA, before any operator runs."""
         with pytest.raises(TypeError, match="integer"):
             op(np.zeros((4, 3), dtype=float))
 
@@ -437,15 +398,19 @@ class TestFitnessWorkspaceParity:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("flow_weight", [0.0, 0.4])
     def test_bit_identical_to_population_fitness(self, seed, flow_weight):
+        """Bit-exact against the naive per-chromosome oracle, and
+        population_fitness (the validating entry) agrees too."""
         etc, ready, elig = random_problem(200 + seed)
         rng = np.random.default_rng(seed)
         sites = EligibleSites.from_mask(elig)
         ws = FitnessWorkspace(etc, ready, flow_weight=flow_weight)
         for p in (1, 7, 24):
             pop = sites.sample(rng, (p, etc.shape[0]))
+            expected = naive_fitness(pop, etc, ready, flow_weight)
+            np.testing.assert_array_equal(ws.evaluate(pop), expected)
             np.testing.assert_array_equal(
-                ws.evaluate(pop),
                 population_fitness(pop, etc, ready, flow_weight=flow_weight),
+                expected,
             )
 
     def test_zero_etc_entries_use_counting_fallback(self):
@@ -457,8 +422,9 @@ class TestFitnessWorkspaceParity:
         b, s = etc.shape
         pop = rng.integers(0, s, size=(11, b))
         ws = FitnessWorkspace(etc, ready)
+        assert not ws._all_positive
         np.testing.assert_array_equal(
-            ws.evaluate(pop), population_fitness(pop, etc, ready)
+            ws.evaluate(pop), naive_fitness(pop, etc, ready)
         )
 
     def test_buffers_reused_across_calls(self):
@@ -493,29 +459,29 @@ class TestEventQueueParity:
     @pytest.mark.parametrize("seed", range(10))
     def test_pop_order_identical_under_interleaving(self, seed):
         """Random push/pop interleavings (bulk preload, then trickle)
-        pop in exactly the reference order."""
+        pop in exactly the sorted-list oracle's order."""
         rng = np.random.default_rng(seed)
-        ref, fast = EventQueue(), ArrayEventQueue()
+        ref, heap = SortedEventQueue(), EventQueue()
         for ev in random_events(rng, int(rng.integers(1, 40))):
             ref.push(ev)
-            fast.push(ev)
+            heap.push(ev)
         steps = int(rng.integers(10, 60))
         for _ in range(steps):
-            assert len(ref) == len(fast)
-            assert ref.peek_time() == fast.peek_time()
+            assert len(ref) == len(heap)
+            assert ref.peek_time() == heap.peek_time()
             if len(ref) and rng.random() < 0.6:
-                assert ref.pop() == fast.pop()
+                assert ref.pop() == heap.pop()
             else:
                 (ev,) = random_events(rng, 1)
                 ref.push(ev)
-                fast.push(ev)
-        while ref:
-            assert ref.pop() == fast.pop()
-        assert not fast
-        assert fast.peek_time() == float("inf")
+                heap.push(ev)
+        while len(ref):
+            assert ref.pop() == heap.pop()
+        assert not heap
+        assert heap.peek_time() == float("inf")
 
     def test_empty_pop_raises_index_error(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         with pytest.raises(IndexError, match="empty"):
             q.pop()
         q.push(Event(1.0, EventKind.ARRIVAL, 0))
@@ -524,71 +490,8 @@ class TestEventQueueParity:
             q.pop()
 
     def test_invalid_time_rejected(self):
-        q = ArrayEventQueue()
+        q = EventQueue()
         with pytest.raises(ValueError, match="invalid event time"):
             q.push(Event(-1.0, EventKind.ARRIVAL, 0))
         with pytest.raises(ValueError, match="invalid event time"):
             q.push(Event(float("nan"), EventKind.ARRIVAL, 0))
-
-    def test_make_event_queue_dispatch(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert isinstance(make_event_queue(), EventQueue)
-        assert isinstance(make_event_queue("fast"), ArrayEventQueue)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
-        assert isinstance(make_event_queue(), ArrayEventQueue)
-        assert isinstance(make_event_queue("reference"), EventQueue)
-
-
-# ----------------------------------------------------------------------
-# backend resolution
-
-
-class TestBackendResolution:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() == REFERENCE_BACKEND
-        assert resolve_backend(None) == REFERENCE_BACKEND
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, FAST_BACKEND)
-        assert resolve_backend() == FAST_BACKEND
-        # explicit beats the environment
-        assert resolve_backend(REFERENCE_BACKEND) == REFERENCE_BACKEND
-
-    def test_empty_env_var_means_reference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert resolve_backend() == REFERENCE_BACKEND
-
-    @pytest.mark.parametrize("bad", ["turbo", "Fast", "numba"])
-    def test_unknown_backend_rejected(self, bad, monkeypatch):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend(bad)
-        monkeypatch.setenv(BACKEND_ENV_VAR, bad)
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend()
-
-    def test_constructors_fail_fast_on_typo(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            STGAScheduler(backend="quick")
-        with pytest.raises(ValueError, match="unknown backend"):
-            GridSimulator(
-                random_scenario(0).grid,
-                MinMinScheduler("risky"),
-                backend="quick",
-            )
-
-    def test_cli_rejects_bad_env_var_with_exit_2(self, monkeypatch, capsys):
-        """A bad REPRO_BACKEND is a usage error: stderr + exit 2, not
-        a traceback from the first simulation it reaches."""
-        from repro.cli import main
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "turbo")
-        assert main(["fig8", "--scale", "0.002"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
-
-    def test_evolve_rejects_unknown_backend(self):
-        etc, ready, elig = random_problem(1)
-        with pytest.raises(ValueError, match="unknown backend"):
-            evolve(etc, ready, elig, np.random.default_rng(0),
-                   GAConfig(population_size=4, generations=1),
-                   backend="quick")

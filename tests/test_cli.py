@@ -212,6 +212,18 @@ class TestSpecCommands:
         assert main(["run", str(bad), "--max-workers", "1"]) == 2
         assert "failed" in capsys.readouterr().err
 
+    def test_run_stale_backend_ref_param_exit_2(self, capsys, tmp_path):
+        # the execution-backend switch is gone; a spec still asking for
+        # it is refused cleanly instead of being silently ignored
+        from repro.experiments.fig8 import nas_spec
+
+        payload = nas_spec(scale=0.002).to_dict()
+        payload["schedulers"] = ["stga?backend=fast"]
+        bad = tmp_path / "stale.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["run", str(bad), "--max-workers", "1"]) == 2
+        assert "backend" in capsys.readouterr().err
+
     def test_run_unknown_scheduler_ref(self, capsys, tmp_path):
         from repro.experiments.fig8 import nas_spec
         from repro.experiments.spec import save_spec

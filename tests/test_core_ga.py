@@ -158,6 +158,17 @@ class TestEvolve:
                 strict_seeds=True,
             )
 
+    def test_float_seeds_rejected_not_truncated(self, rng):
+        """A float seed would be silently truncated to an integer site
+        index by the eligibility repair; it must fail up front."""
+        etc, ready = self._problem(b=4)
+        with pytest.raises(TypeError, match="initial seeds.*integer"):
+            evolve(
+                etc, ready, full_elig(4, 4), rng,
+                GAConfig(population_size=10, generations=1),
+                initial=np.full((2, 4), 1.7),
+            )
+
     def test_surplus_seeds_population_size_respected(self, rng):
         """The >population-size seed path still yields a valid result
         drawn from the truncated seed set (plus repair/evolution)."""

@@ -130,6 +130,17 @@ class TestEvolveIslands:
                 initial=np.zeros((2, 7), dtype=int),
             )
 
+    def test_surplus_seeds_warn_like_evolve(self, rng):
+        """20 seeds cannot fit 8 chromosomes; the 12 dropped seeds are
+        announced exactly as evolve announces them."""
+        etc, ready = self._problem()
+        with pytest.warns(RuntimeWarning, match="surplus seeds are dropped"):
+            evolve_islands(
+                etc, ready, full_elig(10, 4), rng,
+                GAConfig(population_size=8, generations=1),
+                initial=np.zeros((20, 10), dtype=int),
+            )
+
     def test_empty_batch_rejected(self, rng):
         with pytest.raises(ValueError, match="empty"):
             evolve_islands(
@@ -247,19 +258,18 @@ class TestMigrationEdges:
 
     def test_migration_determinism_across_backends(self):
         """The ring exchange happens on the same generations with the
-        same migrants under both backends (covered bitwise by the
-        parity suite; this pins the migration-heavy corner)."""
-        from repro.util.backend import BACKENDS
+        same migrants as in the oracle loop that evolves and evaluates
+        every island separately (this pins the migration-heavy
+        corner)."""
+        from ga_oracle import oracle_evolve_islands
 
         etc, ready = self._problem(6)
         cfg = GAConfig(population_size=18, generations=12)
         isl = IslandConfig(n_islands=3, migration_interval=1, n_migrants=3)
-        runs = [
-            evolve_islands(
-                etc, ready, full_elig(8, 3), np.random.default_rng(13),
-                cfg, isl, backend=bk, track_history=True,
-            )
-            for bk in BACKENDS
-        ]
-        np.testing.assert_array_equal(runs[0].history, runs[1].history)
-        np.testing.assert_array_equal(runs[0].best, runs[1].best)
+        args = (etc, ready, full_elig(8, 3))
+        a = evolve_islands(
+            *args, np.random.default_rng(13), cfg, isl, track_history=True
+        )
+        b = oracle_evolve_islands(*args, np.random.default_rng(13), cfg, isl)
+        np.testing.assert_array_equal(a.history, b.history)
+        np.testing.assert_array_equal(a.best, b.best)

@@ -1,17 +1,27 @@
-"""Tests for repro.core.operators."""
+"""Tests for repro.core.operators.
+
+The behavioural tests pin the copying oracle operators of
+``ga_oracle.py``; ``test_backend_parity.py`` shows the shipped kernels
+equal them draw for draw, and the boundary tests below diff both.
+"""
 
 import numpy as np
 import pytest
+from ga_oracle import (
+    apply_elitism,
+    mutate,
+    roulette_select,
+    single_point_crossover,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chromosome import EligibleSites
 from repro.core.operators import (
-    apply_elitism,
-    mutate,
-    roulette_select,
+    crossover_inplace,
+    mutate_inplace,
+    roulette_select_into,
     selection_weights,
-    single_point_crossover,
 )
 
 
@@ -164,7 +174,8 @@ class TestElitism:
 
 
 class TestBoundaryRates:
-    """rate=0 and rate=1 boundaries, pinned for both backends."""
+    """rate=0 and rate=1 boundaries, pinned for the kernels and the
+    oracle alike."""
 
     def _sites(self, b=7, s=4, seed=3):
         rng = np.random.default_rng(seed)
@@ -173,27 +184,23 @@ class TestBoundaryRates:
         return EligibleSites.from_mask(mask)
 
     def test_crossover_rate_zero_identity_both_backends(self, rng):
-        from repro.core.operators import fast_crossover_inplace
-
         pop = rng.integers(0, 4, size=(10, 6))
         ref = single_point_crossover(pop, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(ref, pop)
-        fast = fast_crossover_inplace(pop.copy(), 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(fast, pop)
+        out = crossover_inplace(pop.copy(), 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, pop)
 
     def test_crossover_rate_one_crosses_every_pair(self, rng):
-        from repro.core.operators import fast_crossover_inplace
-
         for attempt in range(5):
             g = np.random.default_rng(attempt)
             pop = np.vstack([np.zeros((5, 6), dtype=int),
                              np.full((5, 6), 3, dtype=int)])
             g.shuffle(pop)
             out = single_point_crossover(pop, 1.0, np.random.default_rng(attempt))
-            fast = fast_crossover_inplace(
+            kernel = crossover_inplace(
                 pop.copy(), 1.0, np.random.default_rng(attempt)
             )
-            np.testing.assert_array_equal(out, fast)
+            np.testing.assert_array_equal(out, kernel)
             # every heterogeneous pair must actually exchange a tail:
             # the crossover point is in [1, B), so the last gene always
             # swaps when the parents differ there
@@ -202,14 +209,12 @@ class TestBoundaryRates:
                     assert oa[-1] == b[-1] and ob[-1] == a[-1]
 
     def test_mutation_rate_zero_identity_and_no_rng_consumption(self):
-        from repro.core.operators import fast_mutate_inplace
-
         sites = self._sites()
         g0 = np.random.default_rng(0)
         pop = sites.sample(g0, (9, 7))
         for fn in (
             lambda p, g: mutate(p, sites, 0.0, g),
-            lambda p, g: fast_mutate_inplace(p, sites, 0.0, g),
+            lambda p, g: mutate_inplace(p, sites, 0.0, g),
         ):
             g = np.random.default_rng(42)
             out = fn(pop.copy() if fn is not mutate else pop, g)
@@ -221,17 +226,15 @@ class TestBoundaryRates:
     def test_mutation_rate_one_touches_every_gene(self):
         """rate=1: every gene is redrawn from its eligibility row (the
         redraw may coincide with the old value, so assert on the RNG
-        mask semantics: all genes remain eligible and both backends
+        mask semantics: all genes remain eligible and kernel and oracle
         agree bit-for-bit, including with single-site rows where the
         'redraw' is forced to the same value)."""
-        from repro.core.operators import fast_mutate_inplace
-
         sites = self._sites(b=6, s=5, seed=9)
         g = np.random.default_rng(1)
         pop = sites.sample(g, (8, 6))
         ref = mutate(pop, sites, 1.0, np.random.default_rng(7))
-        fast = fast_mutate_inplace(pop.copy(), sites, 1.0, np.random.default_rng(7))
-        np.testing.assert_array_equal(ref, fast)
+        out = mutate_inplace(pop.copy(), sites, 1.0, np.random.default_rng(7))
+        np.testing.assert_array_equal(ref, out)
         assert sites.allowed(ref).all()
         # with >=2 eligible sites everywhere and rate=1, at least one
         # gene changes with overwhelming probability across 8x6 genes
@@ -239,13 +242,11 @@ class TestBoundaryRates:
 
     def test_selection_rate_boundaries_not_applicable_note(self):
         """Selection has no rate parameter; uniform fitness gives a
-        uniform distribution — both kernels must then sample the same
-        rows from the same stream."""
-        from repro.core.operators import fast_roulette_select_into
-
+        uniform distribution — kernel and oracle must then sample the
+        same rows from the same stream."""
         pop = np.arange(24, dtype=np.int64).reshape(8, 3) % 4
         fit = np.full(8, 5.0)
         ref = roulette_select(pop, fit, np.random.default_rng(11))
         out = np.empty_like(pop)
-        fast_roulette_select_into(pop, fit, np.random.default_rng(11), out)
+        roulette_select_into(pop, fit, np.random.default_rng(11), out)
         np.testing.assert_array_equal(ref, out)

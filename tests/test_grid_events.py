@@ -1,6 +1,7 @@
 """Tests for repro.grid.events."""
 
 import pytest
+from ga_oracle import SortedEventQueue
 
 from repro.grid.events import Event, EventKind, EventQueue
 
@@ -86,33 +87,10 @@ class TestDynamicEventKinds:
         assert (second.kind, second.payload) == (EventKind.SITE_DOWN, 3)
 
 
-class TestArrayEventQueueFreeze:
-    def test_freeze_is_public_and_idempotent(self):
-        from repro.grid.events import ArrayEventQueue
-
-        q = ArrayEventQueue()
-        q.push(Event(1.0, EventKind.ARRIVAL, 0))
-        q.freeze()
-        q.freeze()  # second call is a no-op, not an error
-        q.push(Event(0.5, EventKind.CANCEL, 0))  # overflow path
-        assert q.pop().kind is EventKind.CANCEL
-        assert q.pop().kind is EventKind.ARRIVAL
-
-    def test_freeze_empty_queue(self):
-        from repro.grid.events import ArrayEventQueue
-
-        q = ArrayEventQueue()
-        q.freeze()
-        q.push(Event(2.0, EventKind.SITE_DOWN, 1))
-        assert q.pop().payload == 1
-        with pytest.raises(IndexError):
-            q.pop()
-
-
 class TestBackendParityDynamicKinds:
-    """Satellite of the dynamic-events engine: the fast queue must pop
-    the new CANCEL/SITE_DOWN/SITE_UP kinds in exactly the reference
-    order, before and after the freeze."""
+    """The heap queue pops the dynamic CANCEL/SITE_DOWN/SITE_UP kinds
+    in exactly the sorted-list oracle's order, whether they are pushed
+    up front, after a drain started, or interleaved with pops."""
 
     def _drain(self, q):
         out = []
@@ -134,19 +112,16 @@ class TestBackendParityDynamicKinds:
         ]
 
     def test_pre_freeze_parity(self):
-        from repro.grid.events import ArrayEventQueue
-
-        ref, fast = EventQueue(), ArrayEventQueue()
+        ref, heap = SortedEventQueue(), EventQueue()
         for ev in self._mixed_events():
             ref.push(ev)
-            fast.push(ev)
-        assert self._drain(fast) == self._drain(ref)
+            heap.push(ev)
+        assert self._drain(heap) == self._drain(ref)
 
     def test_post_freeze_parity(self):
-        """New kinds pushed through the overflow path keep pop order."""
-        from repro.grid.events import ArrayEventQueue
-
-        ref, fast = EventQueue(), ArrayEventQueue()
+        """Dynamic kinds pushed after the up-front events have started
+        draining keep the global pop order."""
+        ref, heap = SortedEventQueue(), EventQueue()
         up_front = [
             Event(0.0, EventKind.ARRIVAL, 0),
             Event(2.0, EventKind.ARRIVAL, 1),
@@ -154,22 +129,20 @@ class TestBackendParityDynamicKinds:
         ]
         for ev in up_front:
             ref.push(ev)
-            fast.push(ev)
-        fast.freeze()
+            heap.push(ev)
+        assert heap.pop() == ref.pop()
         for ev in self._mixed_events():
             ref.push(ev)
-            fast.push(ev)
-        assert self._drain(fast) == self._drain(ref)
+            heap.push(ev)
+        assert self._drain(heap) == self._drain(ref)
 
     def test_interleaved_parity(self):
-        from repro.grid.events import ArrayEventQueue
-
-        ref, fast = EventQueue(), ArrayEventQueue()
+        ref, heap = SortedEventQueue(), EventQueue()
         for ev in self._mixed_events():
             ref.push(ev)
-            fast.push(ev)
-        # pop a few (implicitly freezing the fast queue) ...
-        assert [fast.pop() for _ in range(3)] == [ref.pop() for _ in range(3)]
+            heap.push(ev)
+        # pop a few ...
+        assert [heap.pop() for _ in range(3)] == [ref.pop() for _ in range(3)]
         # ... then push more dynamic events mid-drain
         extra = [
             Event(0.5, EventKind.SITE_UP, 2),
@@ -178,5 +151,5 @@ class TestBackendParityDynamicKinds:
         ]
         for ev in extra:
             ref.push(ev)
-            fast.push(ev)
-        assert self._drain(fast) == self._drain(ref)
+            heap.push(ev)
+        assert self._drain(heap) == self._drain(ref)

@@ -133,26 +133,3 @@ class TestArrivalProperties:
         assert t.size == n
         assert (np.diff(t) > 0).all()
         assert (t > 0).all()
-
-    @given(seed=st.integers(0, 50))
-    @settings(max_examples=25, deadline=None)
-    def test_poisson_backend_independent(self, seed):
-        """The arrival stream never depends on the execution backend."""
-        import os
-
-        import repro.util.backend as backend_mod
-
-        saved = os.environ.get(backend_mod.BACKEND_ENV_VAR)
-        draws = {}
-        try:
-            for backend in ("reference", "fast"):
-                os.environ[backend_mod.BACKEND_ENV_VAR] = backend
-                draws[backend] = poisson_arrivals(
-                    50, 0.008, np.random.default_rng(seed)
-                )
-        finally:
-            if saved is None:
-                os.environ.pop(backend_mod.BACKEND_ENV_VAR, None)
-            else:
-                os.environ[backend_mod.BACKEND_ENV_VAR] = saved
-        np.testing.assert_array_equal(draws["reference"], draws["fast"])
