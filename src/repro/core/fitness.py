@@ -105,8 +105,8 @@ class FitnessWorkspace:
     size.  The whole population is evaluated with a single weighted
     ``bincount`` over per-(chromosome, site) bins — no Python-level
     loop over chromosomes.  Bins are keyed by row, so a population
-    that stacks several islands evaluates each row exactly as it
-    would alone.
+    that stacks several islands, or chunks of an enumerated search
+    space, evaluates each row exactly as it would alone.
 
     The occupancy shortcut: when every execution time is positive
     (checked once at construction), a site is occupied iff its summed
@@ -141,6 +141,11 @@ class FitnessWorkspace:
         #: start of job j's row in the flattened etc
         self._job_offsets = np.arange(self.n_jobs, dtype=np.int64) * self.n_sites
         self._all_positive = bool((self.etc > 0).all())
+        #: etc[j, s] + ready[s] flattened: the flow term's per-job
+        #: completion time, gathered like the weights
+        self._flow_flat = (
+            (self.etc + self.ready[None, :]).ravel() if self.flow_weight else None
+        )
         self._p = -1  # scratch buffers are sized on first evaluate
 
     def _ensure_buffers(self, p: int) -> None:
@@ -150,8 +155,8 @@ class FitnessWorkspace:
         b = self.n_jobs
         self._idx = np.empty((p, b), dtype=np.int64)
         self._weights = np.empty((p, b), dtype=float)
-        self._row_offsets = (np.arange(p, dtype=np.int64) * self.n_sites)[:, None]
-        self._empty_sites = np.empty((p, self.n_sites), dtype=bool)
+        self._rows = np.arange(p, dtype=np.int64)[:, None]
+        self._empty_sites = np.empty((self.n_sites, p), dtype=bool)
         self._per_job = np.empty((p, b), dtype=float) if self.flow_weight else None
 
     def evaluate(self, population: np.ndarray) -> np.ndarray:
@@ -164,28 +169,32 @@ class FitnessWorkspace:
         # weights[i, j] = etc[j, pop[i, j]], via the flattened etc
         np.add(pop, self._job_offsets, out=idx)
         np.take(self._etc_flat, idx, out=weights)
-        # per-(chromosome, site) bin index, reusing the idx buffer
-        np.add(pop, self._row_offsets, out=idx)
+        if self.flow_weight:
+            np.take(self._flow_flat, idx, out=self._per_job)
+        # site-major (site * P + row) bins, reusing the idx buffer, so
+        # the makespan max below reduces over the long leading axis
+        np.multiply(pop, p, out=idx)
+        idx += self._rows
         flat = idx.ravel()
         loads = np.bincount(flat, weights=weights.ravel(), minlength=p * s)
-        loads = loads.reshape(p, s)
+        loads = loads.reshape(s, p)
         empty = self._empty_sites
         if self._all_positive:
             # all etc > 0 → a site's summed load is 0 iff no job hit it,
             # sparing the counting bincount
             np.less_equal(loads, 0.0, out=empty)
         else:
-            counts = np.bincount(flat, minlength=p * s).reshape(p, s)
+            counts = np.bincount(flat, minlength=p * s).reshape(s, p)
             np.equal(counts, 0, out=empty)
-        loads += self.ready[None, :]  # loads is now the completion matrix
+        loads += self.ready[:, None]  # loads is now the completion matrix
         np.copyto(loads, -np.inf, where=empty)
-        makespan = loads.max(axis=1)
+        makespan = loads.max(axis=0)
         if self.flow_weight == 0.0:
             return makespan
-        per_job = self._per_job
-        np.take(self.ready, pop, out=per_job)
-        per_job += weights
-        return makespan + self.flow_weight * per_job.mean(axis=1)
+        # exactly what per_job.mean(axis=1) computes, minus its overhead
+        mean_flow = np.add.reduce(self._per_job, axis=1)
+        mean_flow /= self.n_jobs
+        return makespan + self.flow_weight * mean_flow
 
 
 def assignment_makespan(

@@ -14,10 +14,18 @@ evaluates the children with one reusable
 :class:`~repro.core.fitness.FitnessWorkspace`, so the loop allocates
 no population copies.  :func:`intake_seeds` is the one place seed
 chromosomes enter a GA; the island model shares it.
+
+When the batch's whole search space is no larger than the rows one
+stall window evaluates, :func:`evolve` enumerates it up front.  Once
+the best-so-far fitness equals that certified optimum no child can
+improve on it, so the rest of the run is fixed and the remaining
+generations only consume their random draws — the result and the
+generator state stay exactly those of the full loop.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,10 +43,45 @@ from repro.core.operators import (
     elitism_inplace,
     mutate_inplace,
     roulette_select_into,
+    skip_generation_draws,
 )
 from repro.util.validation import check_probability
 
 __all__ = ["GAConfig", "GAResult", "evolve", "intake_seeds"]
+
+
+def _certified_optimum(
+    ws: FitnessWorkspace, sites: EligibleSites, buf: np.ndarray, cap: int
+) -> float | None:
+    """The exact minimum fitness over every eligible assignment, or None.
+
+    None when the space holds more than ``cap`` chromosomes, or when
+    any of them has a non-finite fitness (the loop's roulette would
+    raise on it, so nothing may be skipped).  The space is enumerated
+    in mixed radix over ``sites.lookup``, ``buf``'s P rows at a time
+    (the last chunk wraps around), and scored with the decision's own
+    workspace: ``evaluate`` is row-independent, so the minimum is the
+    very float the loop computes for that chromosome.
+    """
+    counts = sites.counts
+    # a float product cannot overflow; it is exact wherever it is <= cap
+    if float(np.prod(counts, dtype=float)) > cap:
+        return None
+    space = int(np.prod(counts))
+    p, b = buf.shape
+    strides = np.cumprod(np.concatenate(([1], counts[:-1])))
+    offsets = np.arange(b, dtype=np.int64) * sites.lookup.shape[1]
+    lookup_flat = sites.lookup.ravel()
+    best = math.inf
+    for start in range(0, space, p):
+        rows = np.arange(start, start + p, dtype=np.int64) % space
+        np.take(lookup_flat, rows[:, None] // strides % counts + offsets, out=buf)
+        fit = ws.evaluate(buf)
+        lo, hi = float(fit.min()), float(fit.max())  # NaN shows in both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return None
+        best = min(best, lo)
+    return best
 
 
 @dataclass(frozen=True)
@@ -197,6 +240,9 @@ def evolve(
             pop = seeds
     pop = np.ascontiguousarray(pop, dtype=np.int64)
     buf = np.empty_like(pop)
+    scratch = np.empty(pop.shape, dtype=float)  # mutation's uniforms
+    stall_window = config.stall_generations or config.generations
+    f_star = _certified_optimum(ws, sites, buf, p * stall_window)
 
     fit = ws.evaluate(pop)
     best_idx = int(np.argmin(fit))
@@ -207,7 +253,22 @@ def evolve(
 
     stall = 0
     gens_run = 0
-    for _ in range(config.generations):
+    while gens_run < config.generations:
+        if best_fit == f_star:
+            # No child can beat the optimum, so every remaining
+            # generation is a stall until the stall exit or the budget.
+            n = config.generations - gens_run
+            if config.stall_generations is not None:
+                n = min(n, config.stall_generations - stall)
+            for _ in range(n):
+                skip_generation_draws(
+                    rng, p, b, config.crossover_prob, config.mutation_prob,
+                    scratch,
+                )
+            gens_run += n
+            if history is not None:
+                history.extend([best_fit] * n)
+            break
         gens_run += 1
         elite_idx = np.argsort(fit)[: config.n_elite]
         elites, elite_fit = pop[elite_idx], fit[elite_idx]  # copies
@@ -215,7 +276,7 @@ def evolve(
         roulette_select_into(pop, fit, rng, out=buf)
         pop, buf = buf, pop  # ping-pong: buf now holds the old pop
         crossover_inplace(pop, config.crossover_prob, rng)
-        mutate_inplace(pop, sites, config.mutation_prob, rng)
+        mutate_inplace(pop, sites, config.mutation_prob, rng, scratch)
         fit = ws.evaluate(pop)
         elitism_inplace(pop, fit, elites, elite_fit)
 

@@ -27,6 +27,8 @@ the outputs and the post-call generator state against them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.chromosome import EligibleSites
@@ -37,6 +39,7 @@ __all__ = [
     "crossover_inplace",
     "mutate_inplace",
     "elitism_inplace",
+    "skip_generation_draws",
 ]
 
 #: floor weight as a fraction of the fitness span, keeps the wheel
@@ -49,10 +52,11 @@ def selection_weights(fitness: np.ndarray) -> np.ndarray:
     fit = np.asarray(fitness, dtype=float)
     if fit.ndim != 1 or fit.size == 0:
         raise ValueError(f"fitness must be a non-empty 1-D array, got {fit.shape}")
-    if not np.isfinite(fit).all():
+    worst, best = fit.max(), fit.min()
+    # NaN and ±inf both surface in the extremes: no full isfinite pass
+    if not (math.isfinite(worst) and math.isfinite(best)):
         raise ValueError("fitness values must be finite")
-    worst = fit.max()
-    span = worst - fit.min()
+    span = worst - best
     if span == 0:
         return np.full(fit.shape, 1.0 / fit.size)
     w = (worst - fit) + _WHEEL_FLOOR * span
@@ -116,24 +120,55 @@ def mutate_inplace(
     sites: EligibleSites,
     prob: float,
     rng: np.random.Generator,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-gene mutation in place: resample an eligible site with
     probability ``prob``.
 
     Draws two full-shape uniforms — the hit mask, then the
     :meth:`EligibleSites.sample` uniforms — but evaluates the site
-    lookup only at the ~``prob * P * B`` mutated positions.
+    lookup only at the ~``prob * P * B`` mutated positions.  An
+    optional float ``scratch`` of the population's shape receives both
+    draws instead of fresh arrays.
     """
     if prob <= 0:
         return population
-    mask = rng.random(population.shape) < prob
-    flat = np.flatnonzero(mask)
+    u = rng.random(population.shape, out=scratch)
+    flat = np.flatnonzero(u < prob)
     if flat.size:
-        u = rng.random(population.shape)
+        u = rng.random(population.shape, out=scratch)
         cols = flat % population.shape[1]
         k = (u.take(flat) * sites.counts[cols]).astype(np.int64)
         np.put(population, flat, sites.lookup[cols, k])
     return population
+
+
+def skip_generation_draws(
+    rng: np.random.Generator,
+    p: int,
+    b: int,
+    crossover_prob: float,
+    mutation_prob: float,
+    scratch: np.ndarray | None = None,
+) -> None:
+    """Consume exactly the draws of one generation step on a (p, b)
+    population and do nothing else.
+
+    Equivalent, for the generator, to :func:`roulette_select_into`,
+    :func:`crossover_inplace` and :func:`mutate_inplace` in turn: none
+    of their draws depends on the population, only on its shape and
+    the probabilities.  The GA uses this once a certified optimum has
+    made the rest of its run fixed.  ``scratch`` is as in
+    :func:`mutate_inplace`.
+    """
+    rng.random(p)
+    if b >= 2 and p >= 2 and crossover_prob > 0:
+        rng.random(p // 2)
+        rng.integers(1, b, size=p // 2)
+    if mutation_prob > 0:
+        u = rng.random((p, b), out=scratch)
+        if u.min() < mutation_prob:  # some gene is hit
+            rng.random((p, b), out=scratch)
 
 
 def elitism_inplace(

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.chromosome import EligibleSites, random_population
+from repro.core.chromosome import (
+    EligibleSites,
+    random_population,
+    repair_population,
+)
 from repro.core.ga import GAConfig, GAResult
 from repro.core.islands import IslandConfig, _island_sizes, _migrate_ring
 from repro.core.operators import selection_weights
@@ -90,15 +94,26 @@ def _track(best, best_fit, pop, fit):
     return best, best_fit
 
 
-def oracle_evolve(etc, ready, eligibility, rng, config=GAConfig()):
-    """The generational loop of :func:`repro.core.ga.evolve`, unseeded."""
+def oracle_evolve(etc, ready, eligibility, rng, config=GAConfig(), initial=None):
+    """The generational loop of :func:`repro.core.ga.evolve`, every
+    generation run in full: seeds repaired then topped up at random,
+    and the stall exit."""
     sites = EligibleSites.from_mask(eligibility)
     fw = config.flow_weight
-    pop = random_population(sites, config.population_size, rng)
+    p = config.population_size
+    if initial is None:
+        pop = random_population(sites, p, rng)
+    else:
+        seeds = repair_population(np.asarray(initial)[:p], sites, rng)
+        fill = p - len(seeds)
+        pop = seeds
+        if fill > 0:
+            pop = np.vstack([seeds, random_population(sites, fill, rng)])
     fit = naive_fitness(pop, etc, ready, fw)
     best, best_fit = _track(None, np.inf, pop, fit)
     initial_fit = best_fit
     history = [best_fit]
+    stall = 0
     for _ in range(config.generations):
         elite_idx = np.argsort(fit)[: config.n_elite]
         elites, elite_fit = pop[elite_idx], fit[elite_idx]
@@ -108,12 +123,16 @@ def oracle_evolve(etc, ready, eligibility, rng, config=GAConfig()):
         pop, fit = apply_elitism(
             pop, naive_fitness(pop, etc, ready, fw), elites, elite_fit
         )
+        improved = float(fit.min()) < best_fit
         best, best_fit = _track(best, best_fit, pop, fit)
+        stall = 0 if improved else stall + 1
         history.append(best_fit)
+        if config.stall_generations is not None and stall >= config.stall_generations:
+            break
     return GAResult(
         best=best,
         best_fitness=best_fit,
-        generations_run=config.generations,
+        generations_run=len(history) - 1,
         history=np.asarray(history),
         initial_fitness=initial_fit,
     )

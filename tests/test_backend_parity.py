@@ -10,13 +10,22 @@ suite is their mechanical check:
   post-call generator state), plus eligibility/permutation validity;
 * :class:`FitnessWorkspace` is bit-exact against a naive
   per-chromosome fitness, including the zero-etc counting fallback;
+* :func:`skip_generation_draws` leaves the generator exactly where
+  the kernels' generation step does;
+* :class:`FitnessWorkspace` scores a chromosome bit-identically alone
+  or stacked in a larger population (the certified-optimum shortcut
+  rests on it);
 * whole generational loops (:func:`evolve`, :func:`evolve_islands`)
-  are bit-identical to the same loop composed from oracle operators;
+  are bit-identical to the same loop composed from oracle operators,
+  including seeded runs, stall exits and runs the certified-optimum
+  fast-forward cuts short;
 * the heap queue pops in exactly the order of a sorted-list oracle
   under arbitrary push/pop interleavings;
 * randomized end-to-end scenarios (random grids, job streams, failure
   laws, history capacities) reproduce bit for bit from their seed.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -30,7 +39,10 @@ from ga_oracle import (
     roulette_select,
     single_point_crossover,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.ga as ga_module
 from repro.core.chromosome import EligibleSites, check_population
 from repro.core.fitness import FitnessWorkspace, population_fitness
 from repro.core.ga import GAConfig, evolve
@@ -40,6 +52,7 @@ from repro.core.operators import (
     elitism_inplace,
     mutate_inplace,
     roulette_select_into,
+    skip_generation_draws,
 )
 from repro.experiments.config import RunSettings
 from repro.experiments.runner import run_lineup
@@ -243,6 +256,126 @@ class TestEvolveParity:
         np.testing.assert_array_equal(g1.random(8), g2.random(8))
 
 
+def enumerable_problem(seed, with_zero_etc=False):
+    """A problem small enough to enumerate: B <= 3 genes over <= 3
+    eligible sites each, so at most 27 chromosomes."""
+    rng = np.random.default_rng(seed)
+    b, s = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    etc = rng.uniform(0.5, 30.0, size=(b, s))
+    if with_zero_etc:
+        etc[rng.random((b, s)) < 0.3] = 0.0
+    ready = rng.uniform(0.0, 10.0, size=s)
+    elig = rng.random((b, s)) < 0.6
+    elig[:, 3:] = False
+    elig[np.arange(b), rng.integers(0, min(s, 3), size=b)] = True
+    return etc, ready, elig
+
+
+def brute_force(etc, ready, elig, flow_weight):
+    """Every eligible chromosome and its naive fitness."""
+    space = np.array(
+        list(itertools.product(*(np.flatnonzero(row) for row in elig))),
+        dtype=np.int64,
+    )
+    return space, naive_fitness(space, etc, ready, flow_weight)
+
+
+class TestCertifiedFastForward:
+    """evolve against the oracle loop on enumerable problems, where the
+    certified-optimum fast-forward may replace generations with their
+    draws only: every GAResult field and the post-call generator state
+    must match the loop that runs every generation in full."""
+
+    @staticmethod
+    def run_both(monkeypatch, etc, ready, elig, cfg, initial, seed):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return skip_generation_draws(*args, **kwargs)
+
+        monkeypatch.setattr(ga_module, "skip_generation_draws", counting)
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = evolve(etc, ready, elig, g1, cfg, initial=initial,
+                   track_history=True)
+        b = oracle_evolve(etc, ready, elig, g2, cfg, initial=initial)
+        np.testing.assert_array_equal(a.best, b.best)
+        assert a.best_fitness == b.best_fitness
+        assert a.initial_fitness == b.initial_fitness
+        assert a.generations_run == b.generations_run
+        np.testing.assert_array_equal(a.history, b.history)
+        assert g1.bit_generator.state == g2.bit_generator.state
+        return b, len(calls)
+
+    @staticmethod
+    def skipped_generations(result, optimum):
+        """Generations the oracle ran after the optimum was in hand."""
+        reached = np.flatnonzero(result.history == optimum)
+        return result.generations_run - reached[0] if reached.size else 0
+
+    @pytest.mark.parametrize("flow_weight", [0.0, 0.5])
+    @pytest.mark.parametrize("stall", [None, 4])
+    @pytest.mark.parametrize("zero_etc", [False, True])
+    def test_seeded_optimum_fires_at_generation_zero(
+        self, monkeypatch, flow_weight, stall, zero_etc
+    ):
+        etc, ready, elig = enumerable_problem(7, with_zero_etc=zero_etc)
+        assert (etc == 0).any() == zero_etc
+        space, fit = brute_force(etc, ready, elig, flow_weight)
+        cfg = GAConfig(population_size=7, generations=12, n_elite=1,
+                       stall_generations=stall, flow_weight=flow_weight)
+        assert len(space) <= 7 * (stall or 12)
+        result, n_skipped = self.run_both(
+            monkeypatch, etc, ready, elig, cfg, space[[np.argmin(fit)]], 3
+        )
+        assert result.initial_fitness == fit.min()
+        assert n_skipped == result.generations_run == (stall or 12)
+
+    @pytest.mark.parametrize("flow_weight", [0.0, 0.5])
+    @pytest.mark.parametrize("stall", [None, 7])
+    @pytest.mark.parametrize("zero_etc", [False, True])
+    def test_unseeded_runs_skip_exactly_the_generations_after_the_optimum(
+        self, monkeypatch, flow_weight, stall, zero_etc
+    ):
+        """Across seeded random problems the optimum is reached at
+        generation 0, mid-run and never; in each run the fast-forward
+        replaces exactly the generations after it was reached."""
+        seen = set()
+        for seed in range(40):
+            etc, ready, elig = enumerable_problem(seed, with_zero_etc=zero_etc)
+            if zero_etc and (etc > 0).all():
+                continue
+            space, fit = brute_force(etc, ready, elig, flow_weight)
+            cfg = GAConfig(population_size=4, generations=20, n_elite=1,
+                           mutation_prob=0.05, stall_generations=stall,
+                           flow_weight=flow_weight)
+            assert len(space) <= 4 * (stall or 20)
+            result, n_skipped = self.run_both(
+                monkeypatch, etc, ready, elig, cfg, None, seed
+            )
+            expected = self.skipped_generations(result, fit.min())
+            assert n_skipped == expected
+            if result.initial_fitness == fit.min():
+                seen.add("at start")
+            elif expected:
+                seen.add("mid-run")
+            else:
+                seen.add("never")
+        assert seen == {"at start", "mid-run", "never"}
+
+    def test_space_over_the_cap_is_not_enumerated(self, monkeypatch):
+        """The cap is one stall window's rows: P x stall_generations."""
+        etc, ready, elig = enumerable_problem(7)
+        space, fit = brute_force(etc, ready, elig, 0.0)
+        assert len(space) > 2
+        cfg = GAConfig(population_size=2, generations=6, n_elite=1,
+                       stall_generations=1)
+        _, n_skipped = self.run_both(
+            monkeypatch, etc, ready, elig, cfg, space[[np.argmin(fit)]], 3
+        )
+        assert n_skipped == 0
+
+
 # ----------------------------------------------------------------------
 # operator-level property tests
 
@@ -303,6 +436,38 @@ class TestOperatorStreamEquivalence:
         fpop, ffit = elitism_inplace(pop.copy(), fit.copy(), elites, efit)
         np.testing.assert_array_equal(ref_pop, fpop)
         np.testing.assert_array_equal(ref_fit, ffit)
+
+
+class TestDrawContract:
+    """The draws-only step against the kernels' RNG contract."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(2, 9),
+        b=st.integers(1, 5),
+        crossover_prob=st.sampled_from([0.0, 0.5, 1.0]),
+        mutation_prob=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_only_generations_match_kernel_steps(
+        self, p, b, crossover_prob, mutation_prob, k, seed
+    ):
+        """After k draws-only generations the generator is exactly
+        where k real selection/crossover/mutation steps leave it."""
+        data = np.random.default_rng(seed + 1)  # not the stream under test
+        sites, _ = make_sites(data, b, 4)
+        pop = sites.sample(data, (p, b))
+        buf = np.empty_like(pop)
+        real, skip = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(k):
+            fit = data.uniform(1.0, 9.0, size=p)
+            roulette_select_into(pop, fit, real, buf)
+            pop, buf = buf, pop
+            crossover_inplace(pop, crossover_prob, real)
+            mutate_inplace(pop, sites, mutation_prob, real)
+            skip_generation_draws(skip, p, b, crossover_prob, mutation_prob)
+        assert real.bit_generator.state == skip.bit_generator.state
 
 
 class TestOperatorValidity:
@@ -426,6 +591,28 @@ class TestFitnessWorkspaceParity:
         np.testing.assert_array_equal(
             ws.evaluate(pop), naive_fitness(pop, etc, ready)
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 40),
+        flow_weight=st.sampled_from([0.0, 0.3, 1.0]),
+        zero_etc=st.booleans(),
+    )
+    def test_rows_score_alone_as_in_a_stack(self, seed, p, flow_weight, zero_etc):
+        """Each chromosome's value is bit-equal evaluated alone or
+        stacked in a larger population, flow term and counting
+        fallback included — the certified optimum rests on this."""
+        etc, ready, elig = random_problem(seed % 1000, with_zero_etc=zero_etc)
+        sites = EligibleSites.from_mask(elig)
+        pop = sites.sample(np.random.default_rng(seed), (p, etc.shape[0]))
+        stacked = FitnessWorkspace(etc, ready, flow_weight=flow_weight)
+        alone = FitnessWorkspace(etc, ready, flow_weight=flow_weight)
+        whole = stacked.evaluate(pop)
+        for i in range(p):
+            assert alone.evaluate(pop[i : i + 1])[0] == whole[i]
+        bigger = np.vstack([pop[::-1], pop])
+        np.testing.assert_array_equal(stacked.evaluate(bigger)[p:], whole)
 
     def test_buffers_reused_across_calls(self):
         etc = np.ones((4, 3))
