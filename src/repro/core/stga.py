@@ -119,10 +119,9 @@ class _GASchedulerBase(SecurityDrivenScheduler):
         feasible = elig.any(axis=1)
         assignment = np.full(batch.n_jobs, -1, dtype=int)
         if feasible.any():
-            ready = np.maximum(batch.ready, batch.now)
             result = self._run_ga(
                 self._fitness_etc(batch, feasible),
-                ready,
+                batch.ready,
                 elig[feasible],
                 initial=self._seeds(batch, feasible),
             )
@@ -270,7 +269,7 @@ class STGAScheduler(_GASchedulerBase):
         return seeds
 
     def _seeds(self, batch: Batch, feasible: np.ndarray) -> np.ndarray | None:
-        ready_rel = np.maximum(batch.ready, batch.now) - batch.now
+        ready_rel = batch.ready - batch.now
         max_seeds = max(
             1, int(self.config.population_size * self.max_seed_fraction)
         )
@@ -289,7 +288,7 @@ class STGAScheduler(_GASchedulerBase):
     def _after(
         self, batch: Batch, feasible: np.ndarray, result: GAResult
     ) -> None:
-        ready_rel = np.maximum(batch.ready, batch.now) - batch.now
+        ready_rel = batch.ready - batch.now
         self.history.insert(
             ready_rel,
             batch.etc[feasible],
@@ -317,7 +316,7 @@ class RecordingScheduler(BatchScheduler):
         result = self.inner.schedule(batch)
         assigned = np.asarray(result.assignment) >= 0
         if assigned.any():
-            ready_rel = np.maximum(batch.ready, batch.now) - batch.now
+            ready_rel = batch.ready - batch.now
             self.history.insert(
                 ready_rel,
                 batch.etc[assigned],

@@ -31,6 +31,7 @@ processes serialize instead of failing — N writers produce N rows
 from __future__ import annotations
 
 import sqlite3
+import time
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -119,6 +120,31 @@ MIGRATIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
+#: the WAL switch is retried this many times, WAL_RETRY_SLEEP_S apart
+#: (together about as long as the 15 s busy timeout)
+WAL_RETRIES = 3000
+WAL_RETRY_SLEEP_S = 0.005
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, retrying while it is locked.
+
+    When two processes open a fresh file at once, SQLite can refuse
+    the journal-mode change with "database is locked" without calling
+    the busy handler, so ``busy_timeout`` alone does not cover it.
+    Retry that error only, with short bounded sleeps; any other error,
+    or a lock that outlasts every retry, propagates.
+    """
+    for attempt in range(WAL_RETRIES):
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or attempt == WAL_RETRIES - 1:
+                raise
+            time.sleep(WAL_RETRY_SLEEP_S)
+
+
 def apply_migrations(conn: sqlite3.Connection, path: str | Path) -> None:
     """Bring ``conn``'s database to schema head (refusing newer files).
 
@@ -131,6 +157,9 @@ def apply_migrations(conn: sqlite3.Connection, path: str | Path) -> None:
     finds the winner's work already applied.  ``path`` is used only for
     diagnostics.
     """
+    # the busy timeout first, so every later statement waits out a
+    # concurrent opener's lock instead of failing at once
+    conn.execute("PRAGMA busy_timeout=15000")
     (version,) = conn.execute("PRAGMA user_version").fetchone()
     if version > len(MIGRATIONS):
         raise ValueError(
@@ -138,8 +167,7 @@ def apply_migrations(conn: sqlite3.Connection, path: str | Path) -> None:
             f"this tool only knows versions up to {len(MIGRATIONS)}: "
             "a newer tool is required (refusing to downgrade)"
         )
-    conn.execute("PRAGMA journal_mode=WAL")
-    conn.execute("PRAGMA busy_timeout=15000")
+    _enable_wal(conn)
     conn.execute("PRAGMA foreign_keys=ON")
     for number, (title, statements) in enumerate(MIGRATIONS, start=1):
         if number <= version:

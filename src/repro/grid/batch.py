@@ -31,12 +31,13 @@ def check_order_permutation(assignment, order) -> None:
     a duplicate would dispatch a job twice, and an omission would
     strand an assigned job forever.  Shared by
     :class:`ScheduleResult` construction and the engine's check of
-    duck-typed scheduler results.
+    duck-typed scheduler results (a real ``ScheduleResult`` is checked
+    once, when it is built).
     """
     a = np.asarray(assignment)
     o = np.asarray(order)
-    assigned = np.flatnonzero(a >= 0)
-    if o.shape != assigned.shape or not np.array_equal(np.sort(o), assigned):
+    assigned = (a >= 0).ravel().nonzero()[0]
+    if o.shape != assigned.shape or not (np.sort(o) == assigned).all():
         raise ValueError(
             "order must be a permutation of the assigned job indices: "
             f"order={o.tolist()} assigned={assigned.tolist()}"
@@ -63,11 +64,16 @@ class Batch:
     etc:
         Execution-time matrix, shape (B, S).
     ready:
-        Site next-available times, clipped to >= now, shape (S,).
+        Site next-available times, shape (S,).  Clipped to ``>= now``
+        once, here at construction, into a float array the batch owns;
+        :meth:`completion` and the schedulers use it as is.
     site_security:
-        Site SL values, shape (S,).
+        Site SL values, shape (S,).  The engine and
+        :func:`snapshot_batch` pass the grid's own read-only view
+        (shared by every batch of a run, never copied).
     speeds:
-        Site speeds, shape (S,).
+        Site speeds, shape (S,); shared read-only like
+        ``site_security``.
     """
 
     now: float
@@ -94,6 +100,12 @@ class Batch:
                 raise ValueError(
                     f"{name} has shape {arr.shape}, expected ({s},) to match etc"
                 )
+        # A site freed in the past cannot start a job before `now`.
+        object.__setattr__(
+            self,
+            "ready",
+            np.maximum(np.asarray(self.ready, dtype=float), float(self.now)),
+        )
 
     @property
     def n_jobs(self) -> int:
@@ -106,8 +118,8 @@ class Batch:
         return self.etc.shape[1]
 
     def completion(self) -> np.ndarray:
-        """Expected completion matrix ``max(ready, now) + etc``."""
-        return np.maximum(self.ready, self.now)[None, :] + self.etc
+        """Expected completion matrix ``ready + etc`` (``ready >= now``)."""
+        return self.ready[None, :] + self.etc
 
 
 def snapshot_batch(
@@ -140,8 +152,6 @@ def snapshot_batch(
         secure_only = np.asarray(secure_only, dtype=bool)
     if ready is None:
         ready = np.full(grid.n_sites, float(now), dtype=float)
-    else:
-        ready = np.maximum(np.asarray(ready, dtype=float), float(now))
     return Batch(
         now=float(now),
         job_ids=job_ids,
@@ -150,8 +160,8 @@ def snapshot_batch(
         secure_only=secure_only,
         etc=etc_matrix(workloads, grid.speeds),
         ready=ready,
-        site_security=grid.security_levels.copy(),
-        speeds=grid.speeds.copy(),
+        site_security=grid.security_levels,
+        speeds=grid.speeds,
     )
 
 
@@ -169,19 +179,32 @@ class ScheduleResult:
         Dispatch order determines per-job start times when several
         jobs share a site; heuristics return their natural assignment
         order, the GA returns batch order.
+
+    Both are stored as read-only copies, validated once here: the
+    engine trusts a ``ScheduleResult`` without re-checking its order,
+    so nothing may change it after construction.
     """
 
     assignment: np.ndarray
     order: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.assignment)
-        o = np.asarray(self.order)
+        a = np.array(self.assignment)
+        o = np.array(self.order)
         if a.ndim != 1:
             raise ValueError(f"assignment must be 1-D, got shape {a.shape}")
         if o.ndim != 1:
             raise ValueError(f"order must be 1-D, got shape {o.shape}")
         check_order_permutation(a, o)
+        a.flags.writeable = False
+        o.flags.writeable = False
+        object.__setattr__(self, "assignment", a)
+        object.__setattr__(self, "order", o)
+
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled result is validated
+        # and read-only again (pickle restores arrays writable)
+        return (type(self), (self.assignment, self.order))
 
     @classmethod
     def from_assignment(cls, assignment) -> "ScheduleResult":
@@ -192,9 +215,9 @@ class ScheduleResult:
     @property
     def n_assigned(self) -> int:
         """Number of jobs actually placed this batch."""
-        return int((np.asarray(self.assignment) >= 0).sum())
+        return int((self.assignment >= 0).sum())
 
     @property
     def n_deferred(self) -> int:
         """Number of jobs pushed to a later batch."""
-        return int((np.asarray(self.assignment) < 0).sum())
+        return int((self.assignment < 0).sum())

@@ -29,6 +29,7 @@ jobs whose assigned site is free *now* are started.  A static run
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -224,10 +225,15 @@ class GridSimulator:
 
         # Per-job columns gathered batch-by-batch in _build_batch; the
         # secure flag mirrors records[i].secure_only (flipped only in
-        # the failed-completion branch below).
+        # the failed-completion branch below).  The run's whole (N, S)
+        # ETC table is built (and validated) once: a batch's rows are
+        # the same elementwise quotients, gathered by index.
         self._workloads = np.array([j.workload for j in jobs], dtype=float)
         self._sds = np.array([j.security_demand for j in jobs], dtype=float)
         self._secure_flags = np.array([r.secure_only for r in records], dtype=bool)
+        self._etc = etc_matrix(self._workloads, self.grid.speeds)
+        self._site_security = self.grid.security_levels
+        self._speeds = self.grid.speeds
 
         queue: list[int] = []  # pending job ids, FIFO
         outcome: dict[int, bool] = {}  # job_id -> attempt failed?
@@ -322,8 +328,9 @@ class GridSimulator:
             batch_ids = list(queue)
             queue.clear()
             batch = self._build_batch(now, batch_ids, records, by_id, free)
-            with self.stopwatch.measure("scheduler"):
-                result = self.scheduler.schedule(batch)
+            start = time.perf_counter()
+            result = self.scheduler.schedule(batch)
+            self.stopwatch.add("scheduler", time.perf_counter() - start)
             self._check_result(result, batch)
 
             if online:
@@ -388,23 +395,20 @@ class GridSimulator:
     # ------------------------------------------------------------------
     def _build_batch(self, now, batch_ids, records, by_id, free) -> Batch:
         idxs = np.fromiter(
-            (by_id[jid] for jid in batch_ids),
+            map(by_id.__getitem__, batch_ids),
             dtype=np.int64,
             count=len(batch_ids),
         )
-        workloads = self._workloads[idxs]
-        sds = self._sds[idxs]
-        secure_only = self._secure_flags[idxs]
         return Batch(
             now=now,
             job_ids=np.array(batch_ids, dtype=int),
-            workloads=workloads,
-            security_demands=sds,
-            secure_only=secure_only,
-            etc=etc_matrix(workloads, self.grid.speeds),
-            ready=np.maximum(free, now),
-            site_security=self.grid.security_levels.copy(),
-            speeds=self.grid.speeds.copy(),
+            workloads=self._workloads[idxs],
+            security_demands=self._sds[idxs],
+            secure_only=self._secure_flags[idxs],
+            etc=self._etc[idxs],
+            ready=free,  # Batch clips a copy to >= now
+            site_security=self._site_security,
+            speeds=self._speeds,
         )
 
     @staticmethod
@@ -423,12 +427,14 @@ class GridSimulator:
             raise ValueError(
                 "scheduler assignment contains site indices below -1"
             )
-        # ScheduleResult validates this at construction, but the
-        # engine accepts any duck-typed result — re-check here so a
-        # buggy third-party scheduler cannot dispatch through a
-        # malformed order (e.g. an unassigned job's -1 site index,
-        # which numpy silently resolves to the last site).
-        check_order_permutation(a, result.order)
+        # A ScheduleResult validated its (read-only) order when it was
+        # built.  The engine also accepts any duck-typed result, so
+        # check those here: a buggy third-party scheduler must not
+        # dispatch through a malformed order (e.g. an unassigned job's
+        # -1 site index, which numpy silently resolves to the last
+        # site).  The exact type test keeps subclasses checked too.
+        if type(result) is not ScheduleResult:
+            check_order_permutation(a, result.order)
 
     def _start_attempt(
         self, now, rec, site_idx, free, busy, outcome, events
@@ -487,11 +493,13 @@ class GridSimulator:
         self, now, batch, result, records, by_id, free, busy, outcome, events
     ) -> int:
         dispatched = 0
-        assignment = np.asarray(result.assignment, dtype=int)
-        for i in np.asarray(result.order, dtype=int):
-            s = int(assignment[i])
-            rec = records[by_id[int(batch.job_ids[i])]]
-            self._start_attempt(now, rec, s, free, busy, outcome, events)
+        assignment = np.asarray(result.assignment, dtype=int).tolist()
+        job_ids = batch.job_ids.tolist()
+        for i in np.asarray(result.order, dtype=int).tolist():
+            rec = records[by_id[job_ids[i]]]
+            self._start_attempt(
+                now, rec, assignment[i], free, busy, outcome, events
+            )
             dispatched += 1
         return dispatched
 
@@ -505,20 +513,19 @@ class GridSimulator:
         (in original queue order) for the next disruptive-event
         replan, which re-runs the scheduler on the residual set.
         """
-        assignment = np.asarray(result.assignment, dtype=int)
-        taken = np.zeros(batch.n_jobs, dtype=bool)
+        assignment = np.asarray(result.assignment, dtype=int).tolist()
+        job_ids = batch.job_ids.tolist()
+        taken = [False] * batch.n_jobs
         dispatched = 0
-        for i in np.asarray(result.order, dtype=int):
-            s = int(assignment[i])
-            if float(free[s]) > now:
+        for i in np.asarray(result.order, dtype=int).tolist():
+            s = assignment[i]
+            if free[s] > now:
                 continue  # site busy or in an outage window: hold
-            rec = records[by_id[int(batch.job_ids[i])]]
+            rec = records[by_id[job_ids[i]]]
             self._start_attempt(now, rec, s, free, busy, outcome, events)
             taken[i] = True
             dispatched += 1
-        deferred = [
-            int(batch.job_ids[i]) for i in range(batch.n_jobs) if not taken[i]
-        ]
+        deferred = [jid for jid, t in zip(job_ids, taken) if not t]
         return dispatched, deferred
 
     def _force_dispatch(

@@ -3,8 +3,9 @@
 The heuristics and the GA both operate on an ETC matrix: entry (j, s)
 is the *execution time* of job j on site s.  Under the aggregate-speed
 site abstraction this is simply ``workload_j / speed_s``, vectorised
-over the whole batch (no Python loops — the matrix is rebuilt every
-scheduling event for up to thousands of jobs).
+with no Python loops.  The engine builds one (N, S) table per run and
+gathers each batch's rows from it: the quotients are elementwise, so a
+gathered row equals one computed for the batch alone.
 
 ``completion_matrix`` adds the site ready times to produce the
 *expected completion times* the heuristics minimise.

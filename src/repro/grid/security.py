@@ -35,6 +35,7 @@ __all__ = [
     "max_tolerable_gap",
     "risk_tolerance",
     "eligibility_matrix",
+    "eligibility_kernel",
     "eligible_sites",
 ]
 
@@ -132,17 +133,42 @@ def eligibility_matrix(
         absolutely safe sites regardless of the mode — the paper's
         rule for re-scheduling previously failed jobs.
     """
-    sd = np.asarray(security_demands, dtype=float).reshape(-1, 1)
-    sl = np.asarray(security_levels, dtype=float).reshape(1, -1)
-    tol = risk_tolerance(mode, f)
-    pfail = failure_probability(sd, sl, lam=lam)
-    # "<= tol" with a tiny epsilon so that f-risky with f equal to an
-    # exactly attained probability keeps the site (boundary inclusive).
-    elig = pfail <= tol + 1e-12
-    if secure_only is not None:
-        mask = np.asarray(secure_only, dtype=bool).reshape(-1, 1)
-        strict = sd <= sl
-        elig = np.where(mask, strict, elig)
+    check_positive("lam", lam)
+    return eligibility_kernel(
+        np.asarray(security_demands, dtype=float).reshape(-1),
+        np.asarray(security_levels, dtype=float).reshape(-1),
+        neg_lam=-lam,
+        tol=risk_tolerance(mode, f),
+        secure_only=None
+        if secure_only is None
+        else np.asarray(secure_only, dtype=bool).reshape(-1),
+    )
+
+
+def eligibility_kernel(
+    sd: np.ndarray,
+    sl: np.ndarray,
+    *,
+    neg_lam: float,
+    tol: float,
+    secure_only: np.ndarray | None = None,
+) -> np.ndarray:
+    """The eligibility kernel behind :func:`eligibility_matrix`.
+
+    ``sd`` (J,) and ``sl`` (S,) are float vectors, ``neg_lam`` is
+    ``-lam`` and ``tol`` the mode's tolerated failure probability
+    (:func:`risk_tolerance`); ``secure_only`` is an optional (J,) bool
+    mask.  No argument is validated: schedulers check theirs once, at
+    construction, and call this per batch.
+    """
+    sd = sd[:, None]
+    gap = np.maximum(sd - sl[None, :], 0.0)
+    # Eq. 1's pfail = -expm1(-lam * gap) <= tol, negated exactly (float
+    # negation is exact); the tiny epsilon keeps a site whose failure
+    # probability exactly attains f (boundary inclusive).
+    elig = np.expm1(neg_lam * gap) >= -(tol + 1e-12)
+    if secure_only is not None and secure_only.any():
+        elig = np.where(secure_only[:, None], sd <= sl[None, :], elig)
     return elig
 
 

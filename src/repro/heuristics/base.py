@@ -21,7 +21,8 @@ from repro.grid.batch import Batch, ScheduleResult
 from repro.grid.security import (
     DEFAULT_LAMBDA,
     RiskMode,
-    eligibility_matrix,
+    eligibility_kernel,
+    risk_tolerance,
 )
 from repro.util.validation import check_positive, check_probability
 
@@ -58,6 +59,9 @@ class SecurityDrivenScheduler(BatchScheduler):
     lam:
         Eq. 1 failure-rate constant, used to convert ``f`` into a
         tolerable SD-SL gap.
+
+    ``mode``, ``f`` and ``lam`` are read-only after construction: the
+    tolerance they imply is computed once, here, not per batch.
     """
 
     #: short algorithm label, overridden by subclasses ("Min-Min", ...)
@@ -70,13 +74,29 @@ class SecurityDrivenScheduler(BatchScheduler):
         f: float = 0.5,
         lam: float = DEFAULT_LAMBDA,
     ) -> None:
-        self.mode = RiskMode.parse(mode)
-        self.f = check_probability("f", f)
-        self.lam = check_positive("lam", lam)
+        self._mode = RiskMode.parse(mode)
+        self._f = check_probability("f", f)
+        self._lam = check_positive("lam", lam)
+        self._tol = risk_tolerance(self._mode, self._f)
         #: optional report-name override; registry refs set it via the
         #: reserved ``label`` parameter so two parameterizations of one
         #: algorithm can share a lineup without name collisions
         self.label: str | None = None
+
+    @property
+    def mode(self) -> RiskMode:
+        """The risk mode (read-only)."""
+        return self._mode
+
+    @property
+    def f(self) -> float:
+        """Tolerated failure probability in f-risky mode (read-only)."""
+        return self._f
+
+    @property
+    def lam(self) -> float:
+        """Eq. 1 failure-rate constant (read-only)."""
+        return self._lam
 
     @property
     def name(self) -> str:
@@ -87,14 +107,17 @@ class SecurityDrivenScheduler(BatchScheduler):
         return f"{self.algorithm} {self.mode.value.capitalize()}"
 
     def eligibility(self, batch: Batch) -> np.ndarray:
-        """Boolean (B, S) matrix of allowed placements for ``batch``."""
-        return eligibility_matrix(
-            batch.security_demands,
-            batch.site_security,
-            mode=self.mode,
-            f=self.f,
-            lam=self.lam,
-            secure_only=batch.secure_only,
+        """Boolean (B, S) matrix of allowed placements for ``batch``.
+
+        Bit-equal to :func:`~repro.grid.security.eligibility_matrix`
+        with this scheduler's parameters.
+        """
+        return eligibility_kernel(
+            np.asarray(batch.security_demands, dtype=float),
+            np.asarray(batch.site_security, dtype=float),
+            neg_lam=-self._lam,
+            tol=self._tol,
+            secure_only=np.asarray(batch.secure_only, dtype=bool),
         )
 
     def masked_completion(self, batch: Batch) -> np.ndarray:

@@ -38,7 +38,6 @@ class DuplexScheduler(SecurityDrivenScheduler):
         )
 
     def schedule(self, batch: Batch) -> ScheduleResult:
-        ready = np.maximum(batch.ready, batch.now)
         best: ScheduleResult | None = None
         best_ms = np.inf
         for member in self._members:
@@ -50,7 +49,7 @@ class DuplexScheduler(SecurityDrivenScheduler):
                     best = result
                 continue
             ms = assignment_makespan(
-                assignment[mask], batch.etc[mask], ready
+                assignment[mask], batch.etc[mask], batch.ready
             )
             if ms < best_ms:
                 best, best_ms = result, ms

@@ -24,7 +24,7 @@ class MCTScheduler(SecurityDrivenScheduler):
     def schedule(self, batch: Batch) -> ScheduleResult:
         comp = self.masked_completion(batch)
         etc = batch.etc
-        ready = np.maximum(batch.ready, batch.now).astype(float).copy()
+        ready = batch.ready.copy()
         assignment = np.full(batch.n_jobs, -1, dtype=int)
         order: list[int] = []
         elig = np.isfinite(comp)

@@ -36,34 +36,36 @@ def _greedy_by_completion(
 ) -> ScheduleResult:
     """Shared Min-Min / Max-Min core.
 
-    ``comp`` is the masked completion matrix; ``pick`` selects whether
-    the job with the smallest ("min", Min-Min) or largest ("max",
-    Max-Min) earliest completion is committed each round.
+    ``comp`` is the masked completion matrix, owned by the caller and
+    updated in place; ``pick`` selects whether the job with the
+    smallest ("min", Min-Min) or largest ("max", Max-Min) earliest
+    completion is committed each round.
     """
-    n_jobs = batch.n_jobs
-    comp = comp.copy()
+    n_jobs = comp.shape[0]
     etc = batch.etc
-    ready = np.maximum(batch.ready, batch.now).astype(float).copy()
     assignment = np.full(n_jobs, -1, dtype=int)
-    order: list[int] = []
-    left = np.ones(n_jobs, dtype=bool)
     # Jobs with no eligible site are deferred outright.
-    feasible = np.isfinite(comp).any(axis=1)
-    left &= feasible
+    left = np.isfinite(comp).any(axis=1)
+    order = np.empty(int(left.sum()), dtype=int)
+    blocked = np.isinf(comp)
+    rows = np.arange(n_jobs)
+    if pick == "min":
+        idle, choose = np.inf, np.ndarray.argmin
+    else:
+        idle, choose = -np.inf, np.ndarray.argmax
 
-    while left.any():
-        best_site = np.argmin(comp, axis=1)
-        best_val = comp[np.arange(n_jobs), best_site]
-        candidates = np.where(left, best_val, np.inf if pick == "min" else -np.inf)
-        j = int(np.argmin(candidates) if pick == "min" else np.argmax(candidates))
+    for k in range(order.size):
+        best_site = comp.argmin(axis=1)
+        best_val = comp[rows, best_site]
+        j = int(choose(np.where(left, best_val, idle)))
         s = int(best_site[j])
         assignment[j] = s
-        order.append(j)
+        order[k] = j
         left[j] = False
-        ready[s] = best_val[j]
-        # Only the chosen site's column changes.
-        col = ready[s] + etc[:, s]
-        col[np.isinf(comp[:, s])] = np.inf
-        comp[:, s] = col
+        # Only the chosen site's column changes: its ready time is now
+        # the committed job's completion.
+        col = comp[:, s]
+        np.add(best_val[j], etc[:, s], out=col)
+        col[blocked[:, s]] = np.inf
 
-    return ScheduleResult(assignment=assignment, order=np.array(order, dtype=int))
+    return ScheduleResult(assignment=assignment, order=order)

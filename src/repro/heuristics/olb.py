@@ -22,7 +22,7 @@ class OLBScheduler(SecurityDrivenScheduler):
 
     def schedule(self, batch: Batch) -> ScheduleResult:
         elig = self.eligibility(batch)
-        ready = np.maximum(batch.ready, batch.now).astype(float).copy()
+        ready = batch.ready.copy()
         assignment = np.full(batch.n_jobs, -1, dtype=int)
         order: list[int] = []
 
@@ -33,7 +33,7 @@ class OLBScheduler(SecurityDrivenScheduler):
             s = int(np.argmin(row))
             assignment[j] = s
             order.append(j)
-            ready[s] = max(ready[s], batch.now) + batch.etc[j, s]
+            ready[s] += batch.etc[j, s]
 
         return ScheduleResult(
             assignment=assignment, order=np.array(order, dtype=int)

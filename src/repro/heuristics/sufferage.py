@@ -25,43 +25,42 @@ class SufferageScheduler(SecurityDrivenScheduler):
     algorithm = "Sufferage"
 
     def schedule(self, batch: Batch) -> ScheduleResult:
-        n_jobs = batch.n_jobs
+        n_jobs, n_sites = batch.etc.shape
         comp = self.masked_completion(batch)
         etc = batch.etc
-        ready = np.maximum(batch.ready, batch.now).astype(float).copy()
         assignment = np.full(n_jobs, -1, dtype=int)
-        order: list[int] = []
         left = np.isfinite(comp).any(axis=1)
+        order = np.empty(int(left.sum()), dtype=int)
+        blocked = np.isinf(comp)
+        # Sufferage of the unassigned jobs; committed and infeasible
+        # jobs stay at -inf so they never win a round.
+        sv = np.full(n_jobs, -np.inf)
+        if n_sites == 1:
+            second_val = np.full(n_jobs, np.inf)  # no second choice
 
-        while left.any():
-            best_site = np.argmin(comp, axis=1)
-            best_val = comp[np.arange(n_jobs), best_site]
-            # Second-best completion: mask out each job's best column.
-            masked = comp.copy()
-            masked[np.arange(n_jobs), best_site] = np.inf
-            second_val = masked.min(axis=1)
-            # inf when only one eligible site; infeasible rows (both
-            # values inf) would give NaN, mask them to -inf instead.
-            with np.errstate(invalid="ignore"):
-                sufferage = np.where(
-                    np.isfinite(best_val), second_val - best_val, -np.inf
-                )
+        for k in range(order.size):
+            if n_sites > 1:
+                # Earliest and second-earliest completion per job: a
+                # selection, not arithmetic, so the values are exact.
+                part = comp.copy()
+                part.partition(1, axis=1)
+                best_val, second_val = part[:, 0], part[:, 1]
+            else:
+                best_val = comp[:, 0]
+            # inf when only one eligible site (no second choice).
+            np.subtract(second_val, best_val, out=sv, where=left)
 
             # Choose the unassigned job with the largest sufferage;
             # break ties by earliest best completion, then job index.
-            sv = np.where(left, sufferage, -np.inf)
-            top = sv.max()
-            tied = np.flatnonzero(sv == top)
-            j = int(tied[np.argmin(best_val[tied])])
-            s = int(best_site[j])
+            tied = (sv == sv.max()).nonzero()[0]
+            j = int(tied[best_val[tied].argmin()])
+            s = int(comp[j].argmin())
             assignment[j] = s
-            order.append(j)
+            order[k] = j
             left[j] = False
-            ready[s] = best_val[j]
-            col = ready[s] + etc[:, s]
-            col[np.isinf(comp[:, s])] = np.inf
-            comp[:, s] = col
+            sv[j] = -np.inf
+            col = comp[:, s]
+            np.add(best_val[j], etc[:, s], out=col)
+            col[blocked[:, s]] = np.inf
 
-        return ScheduleResult(
-            assignment=assignment, order=np.array(order, dtype=int)
-        )
+        return ScheduleResult(assignment=assignment, order=order)

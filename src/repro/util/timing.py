@@ -30,9 +30,16 @@ class Stopwatch:
         try:
             yield self
         finally:
-            elapsed = time.perf_counter() - start
-            self.totals[label] = self.totals.get(label, 0.0) + elapsed
-            self.counts[label] = self.counts.get(label, 0) + 1
+            self.add(label, time.perf_counter() - start)
+
+    def add(self, label: str, seconds: float) -> None:
+        """Record one segment of ``seconds`` under ``label``.
+
+        For hot loops that time a call with ``time.perf_counter()``
+        directly, skipping :meth:`measure`'s context-manager overhead.
+        """
+        self.totals[label] = self.totals.get(label, 0.0) + seconds
+        self.counts[label] = self.counts.get(label, 0) + 1
 
     def total(self, label: str) -> float:
         """Accumulated seconds for ``label`` (0.0 if never measured)."""

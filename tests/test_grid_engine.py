@@ -199,6 +199,42 @@ class TestBasicExecution:
         with pytest.raises(ValueError, match="below -1"):
             sim.run(make_jobs([1.0]))
 
+    def test_real_results_are_not_rechecked(self, monkeypatch):
+        # a ScheduleResult checked its order when it was built; the
+        # engine re-checks only duck-typed results (tests above)
+        import repro.grid.engine as engine
+
+        calls = []
+        monkeypatch.setattr(
+            engine, "check_order_permutation", lambda *a: calls.append(a)
+        )
+        grid = Grid.from_arrays([2.0, 1.0], [0.95, 0.9])
+        GridSimulator(grid, MinMinScheduler("risky"), rng=0).run(
+            make_jobs([1.0, 2.0, 3.0], arrivals=[0.0, 0.0, 150.0])
+        )
+        assert calls == []
+
+    def test_batches_share_grid_views_and_gather_etc(self):
+        from repro.grid.etc import etc_matrix
+
+        grid = Grid.from_arrays([2.0, 1.0, 4.0], [0.95, 0.9, 0.5])
+        sched = FixedSiteScheduler(site=1)
+        jobs = make_jobs([3.0, 1.0, 2.0, 5.0], arrivals=[0, 0, 150, 320])
+        GridSimulator(grid, sched, rng=0).run(jobs)
+        assert len(sched.batches) >= 2
+        for batch in sched.batches:
+            for view, own in (
+                (batch.site_security, grid.security_levels),
+                (batch.speeds, grid.speeds),
+            ):
+                assert not view.flags.writeable
+                assert np.shares_memory(view, own)
+            # gathered from the run's table: equal to a per-batch build
+            np.testing.assert_array_equal(
+                batch.etc, etc_matrix(batch.workloads, grid.speeds)
+            )
+            assert (batch.ready >= batch.now).all()
+
     def test_constructor_validation(self, one_site_grid):
         with pytest.raises(TypeError, match="schedule"):
             GridSimulator(one_site_grid, object())

@@ -35,6 +35,8 @@ from repro.experiments.store import (
     parse_store_uri,
     save_run,
 )
+from repro.experiments.store import sqlite as sqlite_backend
+from repro.experiments.store.sqlite import apply_migrations
 from repro.experiments.sweep import ScenarioVariant, SweepResult
 from repro.metrics.report import PerformanceReport
 
@@ -360,6 +362,71 @@ class TestSqliteMigrations:
             ref = store.save(synthetic_run(), name="first").ref
         with SqliteRunStore(db) as store:
             assert store.load(ref).name == "first"
+
+
+class _LockedWal:
+    """A connection whose WAL switch reports "locked" ``n_locked`` times.
+
+    Delegates every statement to a real connection and logs it, so a
+    test can check what ran and in which order.
+    """
+
+    def __init__(self, path, n_locked, message="database is locked"):
+        self.conn = sqlite3.connect(path, isolation_level=None)
+        self.n_locked = n_locked
+        self.message = message
+        self.log: list[str] = []
+
+    def execute(self, sql, *args):
+        self.log.append(sql)
+        if sql == "PRAGMA journal_mode=WAL" and self.n_locked:
+            self.n_locked -= 1
+            raise sqlite3.OperationalError(self.message)
+        return self.conn.execute(sql, *args)
+
+
+class TestWalSwitchRetry:
+    """Two processes opening a fresh file can race the WAL switch.
+
+    SQLite may answer that pragma with "database is locked" without
+    calling the busy handler; apply_migrations must retry it.
+    """
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        calls: list[float] = []
+        monkeypatch.setattr(sqlite_backend.time, "sleep", calls.append)
+        return calls
+
+    def test_locked_wal_switch_is_retried(self, tmp_path, sleeps):
+        conn = _LockedWal(tmp_path / "runs.db", n_locked=1)
+        apply_migrations(conn, tmp_path / "runs.db")
+        wal = [sql for sql in conn.log if sql == "PRAGMA journal_mode=WAL"]
+        assert len(wal) == 2
+        assert sleeps == [sqlite_backend.WAL_RETRY_SLEEP_S]
+        # the busy timeout is set before anything else runs
+        assert conn.log[0] == "PRAGMA busy_timeout=15000"
+        mode = conn.conn.execute("PRAGMA journal_mode").fetchone()
+        assert mode == ("wal",)
+        (version,) = conn.conn.execute("PRAGMA user_version").fetchone()
+        assert version == len(MIGRATIONS)
+        conn.conn.close()
+
+    def test_other_errors_are_not_retried(self, tmp_path, sleeps):
+        conn = _LockedWal(
+            tmp_path / "runs.db", n_locked=1, message="disk I/O error"
+        )
+        with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+            apply_migrations(conn, tmp_path / "runs.db")
+        assert sleeps == []
+        conn.conn.close()
+
+    def test_retries_are_bounded(self, tmp_path, sleeps):
+        conn = _LockedWal(tmp_path / "runs.db", n_locked=10**9)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            apply_migrations(conn, tmp_path / "runs.db")
+        assert len(sleeps) == sqlite_backend.WAL_RETRIES - 1
+        conn.conn.close()
 
 
 _CONCURRENT_WRITER = """

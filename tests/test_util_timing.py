@@ -49,3 +49,9 @@ class TestStopwatch:
         with sw.measure("b"):
             pass
         assert sw.count("a") == 1 and sw.count("b") == 1
+
+    def test_add_records_a_segment(self):
+        sw = Stopwatch()
+        sw.add("a", 0.25)
+        sw.add("a", 0.5)
+        assert sw.count("a") == 2 and sw.total("a") == 0.75
