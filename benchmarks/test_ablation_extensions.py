@@ -1,7 +1,5 @@
 """Ablation benches for the library's extensions beyond the paper.
 
-* island-model GA (coarse-grained parallel STGA) vs the single-deme
-  STGA at an identical total population/generation budget;
 * Duplex (best of Min-Min/Max-Min) vs its members;
 * alternative failure laws (Weibull / step / linear) driving the same
   risky Min-Min schedule — quantifying how much the unspecified
@@ -13,12 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from benchmarks.conftest import ENSEMBLE_SEEDS, run_once
-from repro.core.islands import IslandConfig, IslandSTGAScheduler
-from repro.experiments.runner import (
-    make_trained_stga,
-    run_scheduler,
-    scale_jobs,
-)
+from repro.experiments.runner import run_scheduler, scale_jobs
 from repro.grid.engine import GridSimulator
 from repro.grid.reliability import (
     ExponentialFailure,
@@ -33,45 +26,6 @@ from repro.metrics.report import evaluate
 from repro.util.rng import RngFactory
 from repro.util.tables import render_table
 from repro.workloads.psa import PSAConfig, psa_scenario
-
-
-def test_island_stga(benchmark, settings, scale):
-    def experiment():
-        rows = []
-        for seed in ENSEMBLE_SEEDS:
-            s = replace(settings, seed=seed)
-            n = scale_jobs(1000, scale)
-            sc = psa_scenario(PSAConfig(n_jobs=n), rng=seed)
-            tr = psa_scenario(
-                PSAConfig(n_jobs=scale_jobs(500, scale)), rng=seed + 7919
-            )
-            stga = make_trained_stga(sc, tr, s)
-            island = IslandSTGAScheduler(
-                "f-risky",
-                config=s.ga,
-                islands=IslandConfig(n_islands=4, migration_interval=10),
-                rng=RngFactory(seed).stream("island"),
-                history=make_trained_stga(sc, tr, s).history,
-            )
-            rows.append(
-                (
-                    run_scheduler(sc, stga, s).makespan,
-                    run_scheduler(sc, island, s).makespan,
-                )
-            )
-        return np.array(rows)
-
-    rows = run_once(benchmark, experiment)
-    stga_ms, island_ms = rows[:, 0].mean(), rows[:, 1].mean()
-    print()
-    print(render_table(
-        ["variant", "mean makespan"],
-        [["STGA (single deme)", stga_ms],
-         ["Island-STGA (4 demes)", island_ms]],
-        title="Ablation: island-model GA at equal total budget",
-    ))
-    # Same operators, same budget: quality must be comparable.
-    assert island_ms <= stga_ms * 1.10
 
 
 def test_duplex_heuristic(benchmark, settings, scale):

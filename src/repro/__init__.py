@@ -55,7 +55,6 @@ from repro.heuristics import (
     RandomScheduler,
     SufferageScheduler,
     make_heuristic,
-    paper_heuristics,
 )
 from repro.metrics import PerformanceReport, compare_to_reference, evaluate
 from repro.registry import (
@@ -103,7 +102,6 @@ __all__ = [
     "OLBScheduler",
     "RandomScheduler",
     "make_heuristic",
-    "paper_heuristics",
     # core
     "GAConfig",
     "GAResult",

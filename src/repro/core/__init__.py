@@ -16,11 +16,6 @@ from repro.core.fitness import (
 )
 from repro.core.ga import GAConfig, GAResult, evolve
 from repro.core.history import HistoryEntry, HistoryTable
-from repro.core.islands import (
-    IslandConfig,
-    IslandSTGAScheduler,
-    evolve_islands,
-)
 from repro.core.operators import selection_weights
 from repro.core.similarity import (
     batch_similarity,
@@ -45,9 +40,6 @@ __all__ = [
     "GAConfig",
     "GAResult",
     "evolve",
-    "IslandConfig",
-    "evolve_islands",
-    "IslandSTGAScheduler",
     "HistoryEntry",
     "HistoryTable",
     "selection_weights",

@@ -105,8 +105,8 @@ class FitnessWorkspace:
     size.  The whole population is evaluated with a single weighted
     ``bincount`` over per-(chromosome, site) bins — no Python-level
     loop over chromosomes.  Bins are keyed by row, so a population
-    that stacks several islands, or chunks of an enumerated search
-    space, evaluates each row exactly as it would alone.
+    that stacks chunks of an enumerated search space evaluates each
+    row exactly as it would alone.
 
     The occupancy shortcut: when every execution time is positive
     (checked once at construction), a site is occupied iff its summed

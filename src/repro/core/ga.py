@@ -13,7 +13,7 @@ through the fused operator kernels of :mod:`repro.core.operators` and
 evaluates the children with one reusable
 :class:`~repro.core.fitness.FitnessWorkspace`, so the loop allocates
 no population copies.  :func:`intake_seeds` is the one place seed
-chromosomes enter a GA; the island model shares it.
+chromosomes enter the GA.
 
 When the batch's whole search space is no larger than the rows one
 stall window evaluates, :func:`evolve` enumerates it up front.  Once

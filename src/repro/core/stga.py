@@ -102,28 +102,19 @@ class _GASchedulerBase(SecurityDrivenScheduler):
     ) -> None:
         """Post-schedule hook (STGA stores history here)."""
 
-    def _run_ga(self, etc, ready, eligibility, *, initial) -> GAResult:
-        """Run the optimiser; overridable (e.g. the island-model GA)."""
-        return evolve(
-            etc,
-            ready,
-            eligibility,
-            self.rng,
-            self.config,
-            initial=initial,
-            track_history=self.track_history,
-        )
-
     def schedule(self, batch: Batch) -> ScheduleResult:
         elig = self.eligibility(batch)
         feasible = elig.any(axis=1)
         assignment = np.full(batch.n_jobs, -1, dtype=int)
         if feasible.any():
-            result = self._run_ga(
+            result = evolve(
                 self._fitness_etc(batch, feasible),
                 batch.ready,
                 elig[feasible],
+                self.rng,
+                self.config,
                 initial=self._seeds(batch, feasible),
+                track_history=self.track_history,
             )
             assignment[feasible] = result.best
             self.last_result = result

@@ -57,11 +57,6 @@ class PSAScalingResult:
         reps = self.reports[scheduler]
         return np.array([getattr(r, metric) for r in reps], dtype=float)
 
-    def monotone_increasing(self, scheduler: str, metric: str) -> bool:
-        """The paper's 'monotonic increasing trend' check."""
-        s = self.series(scheduler, metric)
-        return bool((np.diff(s) >= 0).all())
-
     def render(self, metric: str = "makespan") -> str:
         """One panel as a table: rows = N, columns = schedulers."""
         names = list(self.reports)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 from repro.core.ga import GAConfig
 from repro.core.history import HistoryTable
 from repro.core.stga import STGAScheduler, warmup_history
@@ -40,7 +38,6 @@ __all__ = [
     "run_lineup",
     "scale_jobs",
     "reports_by_name",
-    "utilization_matrix",
 ]
 
 #: the paper's seven-algorithm lineup (Figures 8-9, Table 2) as
@@ -217,7 +214,6 @@ def run_lineup(
     *,
     defaults: PaperDefaults = PaperDefaults(),
     ga_config: GAConfig | None = None,
-    schedulers: Sequence[BatchScheduler] | None = None,
     include_stga: bool = True,
     lineup: Sequence[str] | None = None,
 ) -> list[PerformanceReport]:
@@ -230,36 +226,26 @@ def run_lineup(
     (scenario, training stream, paper defaults), so stateful entries
     like the STGA need no special treatment here and every built
     scheduler exposes the unified ``ScheduleFn`` call surface.
-    ``schedulers`` instead supplies pre-built instances — a
-    deprecation shim kept for older drivers; prefer lineup refs
-    (``include_stga`` then appends the registry-built ``"stga"``).
 
     Every scheduler sees the same scenario and the same engine failure
     stream seed, so differences are purely scheduling decisions.
     Returns reports in lineup order.
     """
-    if lineup is not None and schedulers is not None:
-        raise ValueError("pass either lineup refs or scheduler instances")
+    refs = (
+        tuple(lineup)
+        if lineup is not None
+        else (PAPER_LINEUP if include_stga else PAPER_LINEUP[:-1])
+    )
     context = dict(
         scenario=scenario,
         training=training,
         defaults=defaults,
         ga_config=ga_config,
     )
-    if schedulers is not None:
-        built = list(schedulers)
-        refs: tuple[str, ...] = ("stga",) if include_stga else ()
-    else:
-        refs = (
-            tuple(lineup)
-            if lineup is not None
-            else (PAPER_LINEUP if include_stga else PAPER_LINEUP[:-1])
-        )
-        built = []
-    built.extend(
+    built = [
         bind_scheduler(ref, settings, RngFactory(settings.seed), **context)
         for ref in refs
-    )
+    ]
     return [run_scheduler(scenario, sched, settings) for sched in built]
 
 
@@ -273,8 +259,3 @@ def reports_by_name(
             raise ValueError(f"duplicate scheduler name {rep.scheduler!r}")
         out[rep.scheduler] = rep
     return out
-
-
-def utilization_matrix(reports: Sequence[PerformanceReport]) -> np.ndarray:
-    """Stack per-site utilizations into an (A, S) matrix (Figure 9)."""
-    return np.vstack([r.site_utilization for r in reports])

@@ -64,7 +64,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "job_scaling_variants",
-    "lambda_variants",
     "seed_list",
     "SWEEP_METRICS",
     "parallel_map",
@@ -640,35 +639,6 @@ def job_scaling_variants(
             **overrides,
         )
         for n in n_values
-    )
-
-
-def lambda_variants(
-    lams: Sequence[float],
-    *,
-    workload: str = "psa",
-    n_jobs: int = 1000,
-    n_training_jobs: int | None = None,
-    **overrides,
-) -> tuple[ScenarioVariant, ...]:
-    """One variant per Eq. 1 failure-rate constant λ.
-
-    ``n_training_jobs`` is forwarded like :func:`job_scaling_variants`
-    does (``None`` = Table 1's 500-job warm-up stream).
-    """
-    if n_training_jobs is None:
-        n_training_jobs = PaperDefaults().n_training_jobs
-    base = parse_workload_ref(workload)[0]
-    return tuple(
-        ScenarioVariant(
-            name=f"{base.upper()} lam={float(lam):g}",
-            workload=workload,
-            n_jobs=n_jobs,
-            lam=float(lam),
-            n_training_jobs=n_training_jobs,
-            **overrides,
-        )
-        for lam in lams
     )
 
 

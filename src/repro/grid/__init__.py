@@ -9,7 +9,7 @@ from repro.grid.batch import (
     snapshot_batch,
 )
 from repro.grid.engine import GridSimulator, SchedulerDeadlock, SimulationResult
-from repro.grid.etc import completion_matrix, etc_matrix, masked_completion
+from repro.grid.etc import etc_matrix
 from repro.grid.events import Event, EventKind, EventQueue
 from repro.grid.job import Job, JobRecord, JobState
 from repro.grid.reliability import (
@@ -25,9 +25,7 @@ from repro.grid.security import (
     DEFAULT_LAMBDA,
     RiskMode,
     eligibility_matrix,
-    eligible_sites,
     failure_probability,
-    max_tolerable_gap,
     risk_tolerance,
 )
 from repro.grid.site import Grid, Site
@@ -50,8 +48,6 @@ __all__ = [
     "SimulationResult",
     "SchedulerDeadlock",
     "etc_matrix",
-    "completion_matrix",
-    "masked_completion",
     "Event",
     "EventKind",
     "EventQueue",
@@ -61,10 +57,8 @@ __all__ = [
     "DEFAULT_LAMBDA",
     "RiskMode",
     "failure_probability",
-    "max_tolerable_gap",
     "risk_tolerance",
     "eligibility_matrix",
-    "eligible_sites",
     "Grid",
     "Site",
     "FailureLaw",

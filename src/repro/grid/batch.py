@@ -44,9 +44,23 @@ def check_order_permutation(assignment, order) -> None:
         )
 
 
+def _as_array(batch: "Batch", name: str) -> np.ndarray:
+    """Field ``name`` of ``batch`` as an array.  A plain sequence is
+    converted once and stored back; an array is kept as given (the
+    engine passes shared read-only views)."""
+    arr = getattr(batch, name)
+    if not isinstance(arr, np.ndarray):
+        arr = np.asarray(arr)
+        object.__setattr__(batch, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class Batch:
     """Immutable snapshot of one scheduling event.
+
+    Array fields may be given as plain sequences; they are converted
+    once, at construction.
 
     Attributes
     ----------
@@ -87,18 +101,25 @@ class Batch:
     speeds: np.ndarray
 
     def __post_init__(self) -> None:
-        b, s = self.etc.shape
-        for name in ("job_ids", "workloads", "security_demands", "secure_only"):
-            arr = getattr(self, name)
-            if arr.shape != (b,):
+        etc = _as_array(self, "etc")
+        if etc.ndim != 2:
+            raise ValueError(
+                f"etc must be 2-dimensional, got shape {etc.shape}"
+            )
+        b, s = etc.shape
+        for name, n in (
+            ("job_ids", b),
+            ("workloads", b),
+            ("security_demands", b),
+            ("secure_only", b),
+            ("ready", s),
+            ("site_security", s),
+            ("speeds", s),
+        ):
+            shape = _as_array(self, name).shape
+            if shape != (n,):
                 raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({b},) to match etc"
-                )
-        for name in ("ready", "site_security", "speeds"):
-            arr = getattr(self, name)
-            if arr.shape != (s,):
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({s},) to match etc"
+                    f"{name} has shape {shape}, expected ({n},) to match etc"
                 )
         # A site freed in the past cannot start a job before `now`.
         object.__setattr__(

@@ -78,11 +78,6 @@ class SimulationResult:
     #: the dynamic timeline this run executed under, if any
     timeline: DynamicTimeline | None = None
 
-    @property
-    def n_jobs(self) -> int:
-        """Number of simulated jobs."""
-        return len(self.records)
-
     def completions(self) -> np.ndarray:
         """Vector of job completion times ``c_i``."""
         return np.array([r.completion for r in self.records], dtype=float)

@@ -32,11 +32,9 @@ __all__ = [
     "DEFAULT_LAMBDA",
     "RiskMode",
     "failure_probability",
-    "max_tolerable_gap",
     "risk_tolerance",
     "eligibility_matrix",
     "eligibility_kernel",
-    "eligible_sites",
 ]
 
 DEFAULT_LAMBDA = 3.0
@@ -85,18 +83,6 @@ def failure_probability(
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def max_tolerable_gap(f: float, *, lam: float = DEFAULT_LAMBDA) -> float:
-    """Largest ``SD - SL`` gap whose failure probability is <= ``f``.
-
-    Inverse of Eq. 1: ``gap = -ln(1 - f) / lam``; infinite for f = 1.
-    """
-    check_probability("f", f)
-    check_positive("lam", lam)
-    if f >= 1.0:
-        return float("inf")
-    return float(-np.log1p(-f) / lam)
 
 
 def risk_tolerance(mode: "RiskMode | str", f: float = 0.5) -> float:
@@ -170,18 +156,3 @@ def eligibility_kernel(
     if secure_only is not None and secure_only.any():
         elig = np.where(secure_only[:, None], sd <= sl[None, :], elig)
     return elig
-
-
-def eligible_sites(
-    security_demand: float,
-    security_levels,
-    *,
-    mode: "RiskMode | str" = RiskMode.SECURE,
-    f: float = 0.5,
-    lam: float = DEFAULT_LAMBDA,
-) -> np.ndarray:
-    """Indices of sites eligible for one job under ``mode``."""
-    row = eligibility_matrix(
-        np.asarray([security_demand]), security_levels, mode=mode, f=f, lam=lam
-    )[0]
-    return np.flatnonzero(row)

@@ -135,7 +135,3 @@ class Grid:
     def max_security_site(self) -> int:
         """Index of the most secure site (fallback target)."""
         return int(np.argmax(self._sls))
-
-    def secure_sites_for(self, security_demand: float) -> np.ndarray:
-        """Indices of sites that are absolutely safe for ``SD``."""
-        return np.flatnonzero(self._sls >= security_demand)

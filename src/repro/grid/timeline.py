@@ -36,11 +36,6 @@ class SiteOutage:
                 f"outage end must exceed start, got [{self.start}, {self.end}]"
             )
 
-    @property
-    def duration(self) -> float:
-        """Length of the downtime window."""
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class DynamicTimeline:
@@ -95,15 +90,6 @@ class DynamicTimeline:
             if job_id < 0:
                 raise ValueError(f"due job_id must be non-negative, got {job_id}")
             check_non_negative("due date", due)
-
-    @property
-    def n_events(self) -> int:
-        """Number of engine-visible events this timeline injects."""
-        return len(self.cancels) + 2 * len(self.outages)
-
-    def factor_map(self) -> dict[int, float]:
-        """``job_id -> execution-time factor`` lookup."""
-        return {job_id: factor for job_id, factor in self.exec_factors}
 
     def due_map(self) -> dict[int, float]:
         """``job_id -> due date`` lookup for the metrics layer."""

@@ -2,10 +2,8 @@
 
 With ``GridSimulator(..., record_attempts=True)`` the engine logs one
 :class:`Attempt` per dispatch — (job, site, start, end, outcome) — into
-an :class:`AttemptLog`.  The log is the raw material for the
-time-series metrics (:mod:`repro.metrics.timeseries`): backlog curves,
-per-interval utilization, failure timelines; it can also be exported
-as rows for external analysis.
+an :class:`AttemptLog`, which a recorded trace carries and replay
+checks attempt by attempt.
 
 :func:`save_trace` / :func:`load_trace` give a whole recorded run — the
 grid, the job batch, the dynamic timeline, and the attempt stream — a
@@ -21,8 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from repro.grid.job import Job
 from repro.grid.site import Grid, Site
@@ -90,29 +86,7 @@ class AttemptLog:
         """All failed attempts."""
         return [a for a in self.attempts if a.failed]
 
-    # -- exports ---------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Columnar view: arrays keyed by field name."""
-        n = len(self.attempts)
-        out = {
-            "job_id": np.empty(n, dtype=np.int64),
-            "site_id": np.empty(n, dtype=np.int64),
-            "start": np.empty(n, dtype=float),
-            "end": np.empty(n, dtype=float),
-            "failed": np.empty(n, dtype=bool),
-            "risky": np.empty(n, dtype=bool),
-            "attempt_index": np.empty(n, dtype=np.int64),
-        }
-        for i, a in enumerate(self.attempts):
-            out["job_id"][i] = a.job_id
-            out["site_id"][i] = a.site_id
-            out["start"][i] = a.start
-            out["end"][i] = a.end
-            out["failed"][i] = a.failed
-            out["risky"][i] = a.risky
-            out["attempt_index"][i] = a.attempt_index
-        return out
-
+    # -- totals ----------------------------------------------------------
     def wasted_time(self) -> float:
         """Total site-seconds consumed by failed attempts."""
         return float(sum(a.duration for a in self.attempts if a.failed))

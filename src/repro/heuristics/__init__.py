@@ -8,7 +8,6 @@ from repro.heuristics.estimation import NoisyETCScheduler
 from repro.heuristics.factory import (
     HEURISTIC_CLASSES,
     make_heuristic,
-    paper_heuristics,
 )
 from repro.heuristics.maxmin import MaxMinScheduler
 from repro.heuristics.mct import MCTScheduler
@@ -32,5 +31,4 @@ __all__ = [
     "RandomScheduler",
     "HEURISTIC_CLASSES",
     "make_heuristic",
-    "paper_heuristics",
 ]

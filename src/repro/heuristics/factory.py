@@ -1,23 +1,18 @@
-"""Construction helpers for the paper's scheduler line-up.
+"""Registry entries for the security-driven heuristics.
 
-``paper_heuristics()`` returns the six security-driven heuristics of
-Section 4 (Min-Min and Sufferage, each in secure / f-risky / risky
-mode) in the paper's presentation order; the STGA joins the lineup
-through the scheduler registry (see :mod:`repro.registry` and the
-``"stga"`` entry in :mod:`repro.experiments.runner`).
-
-Every (algorithm, risk mode) pair also registers as a scheduler-
+Every (algorithm, risk mode) pair registers as a scheduler-
 registry entry named ``"<algorithm>-<mode>"`` (``"min-min-risky"``,
 ``"sufferage-f-risky"``, ...), with the bare algorithm name aliased to
 its secure mode — the same default :func:`make_heuristic` uses.  Refs
 accept an ``f`` parameter (``"min-min-f-risky?f=0.3"``) overriding the
 defaults' f = 0.5.
 
-The registry refs are the primary construction surface: prefer
-``repro.registry.bind_scheduler("min-min-risky", settings)`` — which
-also gives the unified ``ScheduleFn`` call protocol — over calling
-:func:`make_heuristic` / :func:`paper_heuristics` directly.  Both
-remain as thin shims for older drivers and tests.
+The registry refs are the construction surface:
+``repro.registry.bind_scheduler("min-min-risky", settings)`` also
+gives the unified ``ScheduleFn`` call protocol.  The paper's lineup is
+the ref tuple :data:`repro.experiments.runner.PAPER_LINEUP`.
+:func:`make_heuristic`, which the entries call, builds one heuristic
+by algorithm name.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ __all__ = [
     "HEURISTIC_CLASSES",
     "HEURISTIC_MODES",
     "make_heuristic",
-    "paper_heuristics",
 ]
 
 HEURISTIC_CLASSES = {
@@ -115,11 +109,10 @@ def make_heuristic(
     """Instantiate a heuristic by name, e.g. ``make_heuristic("min-min",
     "risky")``.
 
-    Deprecation shim: new code should go through the scheduler
-    registry — ``bind_scheduler("min-min-risky", settings)`` — which
-    resolves the same classes plus ref parameters and the unified
-    call protocol.  Kept because direct construction stays handy in
-    unit tests and ablation scripts.
+    The registry entries above build through this; callers outside
+    the registry should prefer ``bind_scheduler("min-min-risky",
+    settings)``, which adds ref parameters and the unified call
+    protocol.
     """
     key = algorithm.lower()
     if key not in HEURISTIC_CLASSES:
@@ -128,20 +121,3 @@ def make_heuristic(
             f"choose from {sorted(HEURISTIC_CLASSES)}"
         )
     return HEURISTIC_CLASSES[key](mode, f=f, lam=lam, **kwargs)
-
-
-def paper_heuristics(
-    *, f: float = 0.5, lam: float = DEFAULT_LAMBDA
-) -> list[BatchScheduler]:
-    """The six heuristics of the paper's Figures 8-9, in order:
-    Min-Min {secure, f-risky, risky}, Sufferage {secure, f-risky, risky}.
-
-    Deprecation shim: ``run_lineup`` now builds this lineup from
-    registry refs (:data:`repro.experiments.runner.PAPER_LINEUP`);
-    prefer passing ``lineup=`` refs over pre-built instances.
-    """
-    out: list[BatchScheduler] = []
-    for cls in (MinMinScheduler, SufferageScheduler):
-        for mode in (RiskMode.SECURE, RiskMode.F_RISKY, RiskMode.RISKY):
-            out.append(cls(mode, f=f, lam=lam))
-    return out

@@ -8,14 +8,7 @@ from repro.metrics.compare import (
     render_run_diff,
 )
 from repro.metrics.report import PerformanceReport, evaluate
-from repro.metrics.timeseries import (
-    backlog_series,
-    due_date_violations,
-    failure_timeline,
-    running_series,
-    utilization_series,
-    waste_fraction,
-)
+from repro.metrics.timeseries import due_date_violations
 
 __all__ = [
     "PerformanceReport",
@@ -25,10 +18,5 @@ __all__ = [
     "compare_to_reference",
     "render_comparison",
     "render_run_diff",
-    "backlog_series",
-    "running_series",
-    "utilization_series",
-    "failure_timeline",
-    "waste_fraction",
     "due_date_violations",
 ]

@@ -1,131 +1,17 @@
-"""Time-series metrics derived from the execution trace.
+"""Time-resolved metrics derived from a simulation result.
 
-The paper reports end-of-run aggregates; for diagnosis (and for
-validating that the simulated system really is in the backlogged
-regime the paper describes) time-resolved views are more telling:
-
-* :func:`backlog_series` — number of jobs in the system (arrived but
-  not finished) over time;
-* :func:`running_series` — number of attempts in flight over time;
-* :func:`utilization_series` — per-interval grid utilization;
-* :func:`failure_timeline` — cumulative failed attempts over time;
-* :func:`waste_fraction` — share of consumed site-seconds lost to
-  failed attempts (the price of risk-taking, one number);
-* :func:`due_date_violations` — jobs finishing after the due dates a
-  dynamic scenario's ``due=`` knob assigned
-  (:mod:`repro.workloads.dynamics`).
-
-All functions take the :class:`~repro.grid.trace.AttemptLog` (and the
-simulation result where needed) and return ``(times, values)`` pairs
-ready for plotting or tabulation.
+The paper reports end-of-run aggregates;
+:func:`due_date_violations` adds the one view a dynamic scenario's
+``due=`` knob (:mod:`repro.workloads.dynamics`) calls for: the jobs
+that finished after their due dates.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.grid.engine import SimulationResult
 from repro.grid.job import JobState
-from repro.grid.trace import AttemptLog
 
-__all__ = [
-    "backlog_series",
-    "running_series",
-    "utilization_series",
-    "failure_timeline",
-    "waste_fraction",
-    "due_date_violations",
-]
-
-
-def _step_series(starts: np.ndarray, ends: np.ndarray):
-    """Counting process: +1 at each start, -1 at each end."""
-    times = np.concatenate([starts, ends])
-    deltas = np.concatenate([np.ones_like(starts), -np.ones_like(ends)])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    values = np.cumsum(deltas[order])
-    return times, values
-
-
-def backlog_series(result: SimulationResult):
-    """Jobs in the system (arrived, not yet completed) over time.
-
-    Returns ``(times, counts)``; ``counts[i]`` is the backlog just
-    after ``times[i]``.
-    """
-    arrivals = result.arrivals()
-    completions = result.completions()
-    return _step_series(arrivals, completions)
-
-
-def running_series(log: AttemptLog):
-    """Attempts in flight over time, from the execution trace."""
-    if len(log) == 0:
-        raise ValueError("empty attempt log")
-    cols = log.to_arrays()
-    return _step_series(cols["start"], cols["end"])
-
-
-def utilization_series(
-    log: AttemptLog,
-    total_speed_units: int,
-    *,
-    n_bins: int = 50,
-    horizon: float | None = None,
-):
-    """Fraction of grid capacity busy per time bin.
-
-    ``total_speed_units`` is the number of parallel site-resources
-    (the site count under the one-queue-per-site abstraction).
-    Returns ``(bin_edges, fractions)`` with ``len(fractions) == n_bins``.
-    """
-    if len(log) == 0:
-        raise ValueError("empty attempt log")
-    if total_speed_units < 1:
-        raise ValueError("total_speed_units must be >= 1")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    cols = log.to_arrays()
-    end = horizon if horizon is not None else float(cols["end"].max())
-    if end <= 0:
-        raise ValueError("horizon must be positive")
-    edges = np.linspace(0.0, end, n_bins + 1)
-    busy = np.zeros(n_bins)
-    # Clip each attempt onto the bins (vectorised overlap computation).
-    lo = np.clip(cols["start"], 0.0, end)
-    hi = np.clip(cols["end"], 0.0, end)
-    for a, b in zip(lo, hi):
-        if b <= a:
-            continue
-        first = np.searchsorted(edges, a, side="right") - 1
-        last = np.searchsorted(edges, b, side="left") - 1
-        for k in range(first, last + 1):
-            seg_lo = max(a, edges[k])
-            seg_hi = min(b, edges[k + 1])
-            busy[k] += max(seg_hi - seg_lo, 0.0)
-    width = edges[1] - edges[0]
-    return edges, busy / (width * total_speed_units)
-
-
-def failure_timeline(log: AttemptLog):
-    """Cumulative count of failed attempts over time.
-
-    Returns ``(times, cumulative)``; empty log raises.
-    """
-    if len(log) == 0:
-        raise ValueError("empty attempt log")
-    fails = sorted(a.end for a in log.failures())
-    times = np.asarray(fails, dtype=float)
-    return times, np.arange(1, times.size + 1)
-
-
-def waste_fraction(log: AttemptLog) -> float:
-    """Share of consumed site-seconds spent on failed attempts."""
-    total = log.total_busy_time()
-    if total == 0:
-        raise ValueError("attempt log has no busy time")
-    return log.wasted_time() / total
+__all__ = ["due_date_violations"]
 
 
 def due_date_violations(

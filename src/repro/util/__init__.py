@@ -3,38 +3,23 @@ table rendering, timing, atomic writes and the provenance clock."""
 
 from repro.util.atomic import atomic_write_text
 from repro.util.clock import utc_now_iso, utc_timestamp
-from repro.util.rng import RngFactory, as_generator, spawn
-from repro.util.stats import (
-    Summary,
-    improvement_pct,
-    is_concave_around,
-    ratio,
-    summarize,
-)
+from repro.util.rng import RngFactory, as_generator
 from repro.util.tables import format_number, render_table
 from repro.util.timing import Stopwatch
 from repro.util.validation import (
     check_1d,
-    check_2d,
     check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_same_length,
 )
 
 __all__ = [
     "RngFactory",
     "as_generator",
-    "spawn",
     "atomic_write_text",
     "utc_now_iso",
     "utc_timestamp",
-    "Summary",
-    "summarize",
-    "ratio",
-    "improvement_pct",
-    "is_concave_around",
     "render_table",
     "format_number",
     "Stopwatch",
@@ -43,6 +28,4 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_1d",
-    "check_2d",
-    "check_same_length",
 ]

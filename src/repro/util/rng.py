@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RngFactory", "as_generator", "spawn"]
+__all__ = ["RngFactory", "as_generator"]
 
 
 def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -34,14 +34,6 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators."""
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of streams: {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 @dataclass

@@ -1,76 +1,15 @@
-"""Summary statistics used by the metrics layer and the benchmarks.
+"""The Student-t critical value behind the sweeps' confidence intervals.
 
-Nothing here is paper-specific; these are the plain descriptive
-statistics the experiment harness prints next to the paper's numbers.
+Nothing here is paper-specific; :func:`t_critical` is a dependency-free
+replacement for ``scipy.stats.t.ppf``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-__all__ = [
-    "Summary",
-    "summarize",
-    "ratio",
-    "improvement_pct",
-    "is_concave_around",
-    "t_critical",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.n} mean={self.mean:.4g} std={self.std:.4g} "
-            f"min={self.minimum:.4g} med={self.median:.4g} max={self.maximum:.4g}"
-        )
-
-
-def summarize(values) -> Summary:
-    """Compute a :class:`Summary` of ``values`` (must be non-empty)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        maximum=float(arr.max()),
-    )
-
-
-def ratio(value: float, baseline: float) -> float:
-    """``value / baseline`` with an explicit error on a zero baseline."""
-    if baseline == 0:
-        raise ZeroDivisionError("baseline is zero; ratio undefined")
-    return value / baseline
-
-
-def improvement_pct(better: float, worse: float) -> float:
-    """Relative improvement of ``better`` over ``worse`` in percent.
-
-    Matches the paper's usage: "STGA improves X% over Y" means
-    ``(worse - better) / worse * 100``.
-    """
-    if worse == 0:
-        raise ZeroDivisionError("reference value is zero; improvement undefined")
-    return (worse - better) / worse * 100.0
+__all__ = ["t_critical"]
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -162,22 +101,3 @@ def t_critical(df: int, *, confidence: float = 0.95) -> float:
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-def is_concave_around(xs, ys, *, rel_tol: float = 0.02) -> bool:
-    """Heuristic check that a curve dips to an interior minimum.
-
-    Used by the Figure 7(a) benchmark: the paper reports *concave*
-    makespan-vs-f curves with the minimum at f ≈ 0.5-0.6.  We verify the
-    weaker, robust property that the interior minimum improves on both
-    endpoints by at least ``rel_tol`` (relative).
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.size < 3:
-        raise ValueError("need matching xs/ys with at least 3 points")
-    order = np.argsort(xs)
-    ys = ys[order]
-    interior = ys[1:-1]
-    best = interior.min()
-    return bool(best <= ys[0] * (1 - rel_tol) and best <= ys[-1] * (1 - rel_tol))

@@ -6,8 +6,6 @@ caught at the boundary rather than deep inside a vectorised kernel.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 __all__ = [
@@ -16,8 +14,6 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_1d",
-    "check_2d",
-    "check_same_length",
 ]
 
 
@@ -55,22 +51,3 @@ def check_1d(name: str, arr: np.ndarray) -> np.ndarray:
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {out.shape}")
     return out
-
-
-def check_2d(name: str, arr: np.ndarray) -> np.ndarray:
-    """Coerce to a 2-D float array."""
-    out = np.asarray(arr, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
-    return out
-
-
-def check_same_length(pairs: Sequence[tuple[str, Sequence]]) -> int:
-    """Require all named sequences to share one length; return it."""
-    if not pairs:
-        raise ValueError("check_same_length needs at least one sequence")
-    lengths = {name: len(seq) for name, seq in pairs}
-    unique = set(lengths.values())
-    if len(unique) != 1:
-        raise ValueError(f"length mismatch: {lengths}")
-    return unique.pop()

@@ -1,7 +1,7 @@
 """Test-local oracle for the GA kernels and the event queue.
 
 Plain, copying implementations of the four genetic operators, a naive
-per-chromosome fitness, the generational loops composed from them, and
+per-chromosome fitness, the generational loop composed from them, and
 a sorted-list event queue.  They draw from the RNG in the order the
 shipped kernels are contracted to (same calls, same sizes), so the
 kernel tests can diff outputs *and* post-call generator state against
@@ -18,9 +18,7 @@ from repro.core.chromosome import (
     repair_population,
 )
 from repro.core.ga import GAConfig, GAResult
-from repro.core.islands import IslandConfig, _island_sizes, _migrate_ring
 from repro.core.operators import selection_weights
-from repro.util.rng import spawn
 
 
 def roulette_select(population, fitness, rng):
@@ -135,52 +133,6 @@ def oracle_evolve(etc, ready, eligibility, rng, config=GAConfig(), initial=None)
         generations_run=len(history) - 1,
         history=np.asarray(history),
         initial_fitness=initial_fit,
-    )
-
-
-def oracle_evolve_islands(
-    etc, ready, eligibility, rng, config=GAConfig(), islands=IslandConfig()
-):
-    """:func:`repro.core.islands.evolve_islands` with one separately
-    evaluated population per island, unseeded."""
-    sites = EligibleSites.from_mask(eligibility)
-    fw = config.flow_weight
-    sizes = _island_sizes(config.population_size, islands.n_islands)
-    rngs = spawn(rng, islands.n_islands)
-    pops = [random_population(sites, size, g) for size, g in zip(sizes, rngs)]
-    fits = [naive_fitness(p, etc, ready, fw) for p in pops]
-
-    def global_best(best, best_fit):
-        for pop, fit in zip(pops, fits):
-            best, best_fit = _track(best, best_fit, pop, fit)
-        return best, best_fit
-
-    best, best_fit = global_best(None, np.inf)
-    history = [best_fit]
-    for gen in range(1, config.generations + 1):
-        for i, g in enumerate(rngs):
-            pop, fit = pops[i], fits[i]
-            elite_idx = np.argsort(fit)[: min(config.n_elite, len(pop) - 1)]
-            elites, elite_fit = pop[elite_idx], fit[elite_idx]
-            pop = roulette_select(pop, fit, g)
-            pop = single_point_crossover(pop, config.crossover_prob, g)
-            pop = mutate(pop, sites, config.mutation_prob, g)
-            pops[i], fits[i] = apply_elitism(
-                pop, naive_fitness(pop, etc, ready, fw), elites, elite_fit
-            )
-        if (
-            islands.n_islands > 1
-            and islands.n_migrants > 0
-            and gen % islands.migration_interval == 0
-        ):
-            _migrate_ring(pops, fits, islands.n_migrants)
-        best, best_fit = global_best(best, best_fit)
-        history.append(best_fit)
-    return GAResult(
-        best=best,
-        best_fitness=best_fit,
-        generations_run=config.generations,
-        history=np.asarray(history),
     )
 
 

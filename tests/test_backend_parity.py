@@ -15,8 +15,8 @@ suite is their mechanical check:
 * :class:`FitnessWorkspace` scores a chromosome bit-identically alone
   or stacked in a larger population (the certified-optimum shortcut
   rests on it);
-* whole generational loops (:func:`evolve`, :func:`evolve_islands`)
-  are bit-identical to the same loop composed from oracle operators,
+* the whole generational loop (:func:`evolve`) is bit-identical to
+  the same loop composed from oracle operators,
   including seeded runs, stall exits and runs the certified-optimum
   fast-forward cuts short;
 * the heap queue pops in exactly the order of a sorted-list oracle
@@ -35,7 +35,6 @@ from ga_oracle import (
     mutate,
     naive_fitness,
     oracle_evolve,
-    oracle_evolve_islands,
     roulette_select,
     single_point_crossover,
 )
@@ -46,7 +45,6 @@ import repro.core.ga as ga_module
 from repro.core.chromosome import EligibleSites, check_population
 from repro.core.fitness import FitnessWorkspace, population_fitness
 from repro.core.ga import GAConfig, evolve
-from repro.core.islands import IslandConfig, evolve_islands
 from repro.core.operators import (
     crossover_inplace,
     elitism_inplace,
@@ -219,30 +217,6 @@ class TestEvolveParity:
         assert a.best_fitness == b.best_fitness
         assert a.initial_fitness == b.initial_fitness
         assert a.generations_run == b.generations_run
-        np.testing.assert_array_equal(a.history, b.history)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_evolve_islands_bit_identical(self, seed):
-        """One batched fitness call over the contiguous island array
-        equals evaluating every island on its own."""
-        etc, ready, elig = random_problem(100 + seed)
-        rng = np.random.default_rng(seed)
-        cfg = GAConfig(
-            population_size=int(rng.integers(8, 40)),
-            generations=int(rng.integers(1, 20)),
-        )
-        isl = IslandConfig(
-            n_islands=int(rng.integers(1, 5)),
-            migration_interval=int(rng.integers(1, 6)),
-            n_migrants=int(rng.integers(0, 4)),
-        )
-        a = evolve_islands(etc, ready, elig, np.random.default_rng(seed),
-                           cfg, isl, track_history=True)
-        b = oracle_evolve_islands(
-            etc, ready, elig, np.random.default_rng(seed), cfg, isl
-        )
-        np.testing.assert_array_equal(a.best, b.best)
-        assert a.best_fitness == b.best_fitness
         np.testing.assert_array_equal(a.history, b.history)
 
     def test_rng_stream_position_identical_after_evolve(self):
@@ -533,26 +507,15 @@ class TestPopulationValidation:
                 np.zeros((2, 3)), np.ones((3, 2)), np.zeros(2)
             )
 
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda pop: evolve(
-                np.ones((3, 2)), np.zeros(2), np.ones((3, 2), bool),
-                np.random.default_rng(0), GAConfig(population_size=4),
-                initial=pop,
-            ),
-            lambda pop: evolve_islands(
-                np.ones((3, 2)), np.zeros(2), np.ones((3, 2), bool),
-                np.random.default_rng(0), GAConfig(population_size=4),
-                initial=pop,
-            ),
-        ],
-    )
-    def test_operators_reject_float_population(self, op):
+    def test_operators_reject_float_population(self):
         """The kernels trust their input; a float population is
         stopped where it enters the GA, before any operator runs."""
         with pytest.raises(TypeError, match="integer"):
-            op(np.zeros((4, 3), dtype=float))
+            evolve(
+                np.ones((3, 2)), np.zeros(2), np.ones((3, 2), bool),
+                np.random.default_rng(0), GAConfig(population_size=4),
+                initial=np.zeros((4, 3), dtype=float),
+            )
 
 
 # ----------------------------------------------------------------------

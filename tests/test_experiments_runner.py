@@ -1,6 +1,5 @@
 """Tests for repro.experiments.runner."""
 
-import numpy as np
 import pytest
 
 from repro.core.ga import GAConfig
@@ -11,7 +10,6 @@ from repro.experiments.runner import (
     run_lineup,
     run_scheduler,
     scale_jobs,
-    utilization_matrix,
 )
 from repro.heuristics.minmin import MinMinScheduler
 from repro.workloads.psa import PSAConfig, psa_scenario
@@ -110,11 +108,3 @@ class TestRunLineup:
         rep = run_scheduler(tiny_scenario, MinMinScheduler("risky"), SETTINGS)
         with pytest.raises(ValueError, match="duplicate"):
             reports_by_name([rep, rep])
-
-    def test_utilization_matrix_shape(self, tiny_scenario):
-        reports = run_lineup(
-            tiny_scenario, None, SETTINGS, include_stga=False
-        )
-        m = utilization_matrix(reports)
-        assert m.shape == (6, tiny_scenario.grid.n_sites)
-        assert (m >= 0).all()

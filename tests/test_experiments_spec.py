@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.core.ga import GAConfig
+from repro.core.stga import StandardGAScheduler
+from repro.experiments import runner
 from repro.experiments.ablation import stga_ablation_spec
 from repro.experiments.config import PaperDefaults, RunSettings
 from repro.experiments.fig7 import (
@@ -152,6 +154,28 @@ class TestSpecBuilders:
         spec = stga_ablation_spec(scale=0.01)
         spec.validate()
         assert len(set(spec.schedulers)) == len(spec.schedulers)
+
+    def test_ablation_spec_runs_the_ga_ref(self, monkeypatch):
+        """The ``ga`` ref runs through ``run_spec`` as the conventional
+        GA, beside three distinctly labelled STGA variants."""
+        built = {}
+        real_run_scheduler = runner.run_scheduler
+
+        def spy(scenario, scheduler, settings):
+            built[scheduler.name] = scheduler
+            return real_run_scheduler(scenario, scheduler, settings)
+
+        monkeypatch.setattr(runner, "run_scheduler", spy)
+        spec = stga_ablation_spec(
+            n_jobs=20, seeds=(1, 2), scale=1.0, settings=FAST
+        )
+        res = run_spec(spec, max_workers=1)
+        labels = ("STGA", "STGA-FIFO", "STGA-history-only", "conventional-GA")
+        assert res.schedulers() == labels
+        for name in labels:
+            reports = res.cell(spec.variants[0].name, name)
+            assert [r.scheduler for r in reports] == [name, name]
+        assert isinstance(built["conventional-GA"]._inner, StandardGAScheduler)
 
 
 def assert_reports_identical(a, b):

@@ -23,7 +23,6 @@ from repro.experiments.sweep import (
     MetricSummary,
     ScenarioVariant,
     job_scaling_variants,
-    lambda_variants,
     parallel_map,
     run_sweep,
     seed_list,
@@ -159,17 +158,6 @@ class TestScenarioVariant:
         vs = job_scaling_variants([100, 200])
         assert [v.n_jobs for v in vs] == [100, 200]
         assert len({v.name for v in vs}) == 2
-        ls = lambda_variants([1.0, 3.0])
-        assert [v.lam for v in ls] == [1.0, 3.0]
-
-    def test_lambda_variants_forward_training_jobs(self):
-        # mirrors job_scaling_variants (used to be silently dropped)
-        ls = lambda_variants([1.0, 3.0], n_training_jobs=7)
-        assert [v.n_training_jobs for v in ls] == [7, 7]
-        default = lambda_variants([1.0])[0]
-        from repro.experiments.config import PaperDefaults
-
-        assert default.n_training_jobs == PaperDefaults().n_training_jobs
 
     def test_seed_list(self):
         assert seed_list(3, base_seed=10) == (10, 11, 12)

@@ -1,9 +1,11 @@
 """Tests for repro.grid.batch."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.grid.batch import ScheduleResult
+from repro.grid.batch import Batch, ScheduleResult
 from tests.conftest import make_batch
 
 
@@ -41,6 +43,49 @@ class TestBatch:
                 site_security=batch.site_security,
                 speeds=batch.speeds,
             )
+
+    def test_plain_sequences_converted(self):
+        batch = Batch(
+            now=1.0,
+            job_ids=[0, 1],
+            workloads=[1.0, 2.0],
+            security_demands=[0.5, 0.6],
+            secure_only=[False, True],
+            etc=[[1.0, 2.0], [3.0, 4.0]],
+            ready=[0.0, 0.0],
+            site_security=[0.5, 0.9],
+            speeds=[1.0, 2.0],
+        )
+        assert all(
+            isinstance(getattr(batch, f.name), np.ndarray)
+            for f in fields(batch)
+            if f.name != "now"
+        )
+        np.testing.assert_array_equal(batch.completion(), [[2, 3], [4, 5]])
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("workloads", [1.0], "workloads has shape"),
+            ("ready", [0.0], "ready has shape"),
+            ("etc", [1.0, 2.0], "etc must be 2-dimensional"),
+        ],
+    )
+    def test_bad_plain_sequence_names_field(self, field, value, match):
+        kwargs = dict(
+            now=0.0,
+            job_ids=[0, 1],
+            workloads=[1.0, 2.0],
+            security_demands=[0.5, 0.6],
+            secure_only=[False, False],
+            etc=[[1.0, 2.0], [3.0, 4.0]],
+            ready=[0.0, 0.0],
+            site_security=[0.5, 0.9],
+            speeds=[1.0, 2.0],
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=match):
+            Batch(**kwargs)
 
     def test_completion_uses_now(self, small_grid):
         batch = make_batch(

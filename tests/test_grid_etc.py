@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.grid.etc import completion_matrix, etc_matrix, masked_completion
+from repro.grid.etc import etc_matrix
 
 
 class TestEtcMatrix:
@@ -42,35 +42,3 @@ class TestEtcMatrix:
         order = np.argsort(v)
         sorted_etc = etc[:, order]
         assert (np.diff(sorted_etc, axis=1) <= 1e-9).all()
-
-
-class TestCompletionMatrix:
-    def test_adds_ready(self):
-        etc = np.array([[1.0, 2.0]])
-        comp = completion_matrix(etc, ready=[5.0, 0.0], now=3.0)
-        np.testing.assert_allclose(comp, [[6.0, 5.0]])
-
-    def test_now_clips_past_ready(self):
-        comp = completion_matrix(np.array([[1.0]]), ready=[0.0], now=10.0)
-        assert comp[0, 0] == 11.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            completion_matrix(np.ones((2, 3)), ready=[0.0, 0.0])
-
-
-class TestMaskedCompletion:
-    def test_ineligible_is_inf(self):
-        comp = np.array([[1.0, 2.0]])
-        elig = np.array([[True, False]])
-        out = masked_completion(comp, elig)
-        assert out[0, 0] == 1.0 and np.isinf(out[0, 1])
-
-    def test_original_untouched(self):
-        comp = np.array([[1.0, 2.0]])
-        masked_completion(comp, np.array([[False, False]]))
-        assert np.isfinite(comp).all()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            masked_completion(np.ones((1, 2)), np.ones((2, 1), dtype=bool))

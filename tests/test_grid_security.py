@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.grid.security import (
     RiskMode,
     eligibility_matrix,
-    eligible_sites,
     failure_probability,
-    max_tolerable_gap,
     risk_tolerance,
 )
 
@@ -70,17 +68,6 @@ class TestTolerance:
         with pytest.raises(ValueError, match="unknown risk mode"):
             RiskMode.parse("bogus")
 
-    def test_max_tolerable_gap_inverse_of_eq1(self):
-        f = 0.5
-        gap = max_tolerable_gap(f, lam=3.0)
-        assert failure_probability(0.5 + gap, 0.5, lam=3.0) == pytest.approx(f)
-
-    def test_gap_infinite_at_f1(self):
-        assert max_tolerable_gap(1.0) == np.inf
-
-    def test_gap_zero_at_f0(self):
-        assert max_tolerable_gap(0.0) == 0.0
-
 
 class TestEligibility:
     def test_secure_requires_sd_le_sl(self):
@@ -101,9 +88,10 @@ class TestEligibility:
         assert (sec <= fr).all() and (fr <= ris).all()
 
     def test_f_risky_threshold_exact(self):
-        # gap exactly at the tolerance boundary stays eligible
+        # gap exactly at the tolerance boundary (Eq. 1 inverted) stays
+        # eligible
         lam, f = 3.0, 0.5
-        gap = max_tolerable_gap(f, lam=lam)
+        gap = -np.log1p(-f) / lam
         elig = eligibility_matrix(
             [0.5 + gap], [0.5], mode="f-risky", f=f, lam=lam
         )
@@ -119,10 +107,6 @@ class TestEligibility:
         np.testing.assert_array_equal(
             elig, [[False, True], [True, True]]
         )
-
-    def test_eligible_sites_helper(self):
-        sites = eligible_sites(0.8, [0.5, 0.85, 0.9], mode="secure")
-        np.testing.assert_array_equal(sites, [1, 2])
 
     @given(f=st.floats(0.0, 1.0))
     def test_f_monotone_property(self, f):

@@ -63,12 +63,6 @@ class TestGrid:
     def test_max_security_site(self, small_grid):
         assert small_grid.max_security_site() == 3
 
-    def test_secure_sites_for(self, small_grid):
-        np.testing.assert_array_equal(
-            small_grid.secure_sites_for(0.8), [2, 3]
-        )
-        np.testing.assert_array_equal(small_grid.secure_sites_for(0.99), [])
-
     def test_nodes_passthrough(self):
         g = Grid.from_arrays([16.0, 8.0], [0.5, 0.6], nodes=[16, 8])
         assert g[0].nodes == 16 and g[1].nodes == 8

@@ -46,12 +46,6 @@ class TestAttemptLog:
     def test_failures(self):
         assert len(self._log().failures()) == 1
 
-    def test_to_arrays(self):
-        cols = self._log().to_arrays()
-        np.testing.assert_array_equal(cols["job_id"], [0, 0, 1])
-        np.testing.assert_array_equal(cols["failed"], [True, False, False])
-        assert cols["start"].dtype == float
-
     def test_waste_accounting(self):
         log = self._log()
         assert log.wasted_time() == 5.0

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.grid.security import RiskMode
-from repro.heuristics.factory import (
-    HEURISTIC_CLASSES,
-    make_heuristic,
-    paper_heuristics,
-)
+from repro.heuristics.factory import HEURISTIC_CLASSES, make_heuristic
 from repro.heuristics.minmin import MinMinScheduler
 
 
@@ -31,20 +27,3 @@ class TestMakeHeuristic:
     def test_all_registered_construct(self):
         for name in HEURISTIC_CLASSES:
             assert make_heuristic(name).name
-
-
-class TestPaperLineup:
-    def test_six_heuristics_in_order(self):
-        names = [s.name for s in paper_heuristics()]
-        assert names == [
-            "Min-Min Secure",
-            "Min-Min f-Risky(f=0.5)",
-            "Min-Min Risky",
-            "Sufferage Secure",
-            "Sufferage f-Risky(f=0.5)",
-            "Sufferage Risky",
-        ]
-
-    def test_custom_f(self):
-        names = [s.name for s in paper_heuristics(f=0.3)]
-        assert "Min-Min f-Risky(f=0.3)" in names

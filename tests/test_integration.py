@@ -9,12 +9,12 @@ import pytest
 from repro.core.ga import GAConfig
 from repro.core.stga import STGAScheduler, StandardGAScheduler
 from repro.experiments.config import RunSettings
-from repro.experiments.runner import run_scheduler
+from repro.experiments.runner import PAPER_LINEUP, run_scheduler
 from repro.grid.engine import GridSimulator
-from repro.heuristics.factory import paper_heuristics
 from repro.heuristics.minmin import MinMinScheduler
 from repro.heuristics.sufferage import SufferageScheduler
 from repro.metrics.report import evaluate
+from repro.registry import build_scheduler
 from repro.workloads.nas import NASConfig, nas_scenario
 from repro.workloads.psa import PSAConfig, psa_scenario
 
@@ -32,7 +32,8 @@ def nas():
     return nas_scenario(NASConfig(n_jobs=150, trace_days=2), rng=17)
 
 
-ALL_SCHEDULERS = paper_heuristics() + [
+ALL_SCHEDULERS = [
+    *(build_scheduler(ref, SETTINGS) for ref in PAPER_LINEUP[:-1]),
     STGAScheduler(config=FAST_GA, rng=1),
     StandardGAScheduler("risky", config=FAST_GA, rng=2),
 ]

@@ -1,119 +1,62 @@
 """Tests for repro.metrics.timeseries."""
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.grid.engine import GridSimulator
+from repro.grid.job import JobState
 from repro.grid.site import Grid
-from repro.grid.trace import Attempt, AttemptLog
 from repro.heuristics.minmin import MinMinScheduler
-from repro.metrics.timeseries import (
-    backlog_series,
-    failure_timeline,
-    running_series,
-    utilization_series,
-    waste_fraction,
-)
+from repro.metrics.timeseries import due_date_violations
+from repro.workloads.base import Scenario
+from repro.workloads.dynamics import apply_dynamics
 from tests.conftest import make_jobs
 
 
-def simple_log():
-    log = AttemptLog()
-    log.record(Attempt(0, 0, 0.0, 4.0, False, False, 1))
-    log.record(Attempt(1, 1, 2.0, 6.0, True, True, 1))
-    log.record(Attempt(1, 0, 7.0, 9.0, False, False, 2))
-    return log
+@pytest.fixture
+def tiny_due():
+    """One safe site of speed 2; workloads 4/6/8 arriving at 0/0/1.
+
+    ``due=2`` gives due dates ``arrival + 2 * workload / 2``: 4, 6, 9.
+    """
+    grid = Grid.from_arrays(speeds=[2.0], security_levels=[1.0])
+    jobs = tuple(make_jobs([4.0, 6.0, 8.0], arrivals=[0.0, 0.0, 1.0]))
+    return apply_dynamics(Scenario("tiny", grid, jobs), seed=0, due=2.0)
 
 
-class TestRunningSeries:
-    def test_counts(self):
-        times, counts = running_series(simple_log())
-        # starts at 0 (1 running), 2 (2), ends at 4 (1), 6 (0), ...
-        assert counts.max() == 2
-        assert counts[-1] == 0  # everything eventually ends
-        assert (counts >= 0).all()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            running_series(AttemptLog())
+def simulate(scenario, timeline, batch_interval):
+    sim = GridSimulator(
+        scenario.grid,
+        MinMinScheduler("secure"),
+        batch_interval=batch_interval,
+        rng=0,
+    )
+    return sim.run(scenario.jobs, timeline=timeline)
 
 
-class TestUtilization:
-    def test_full_occupancy_single_site(self):
-        log = AttemptLog()
-        log.record(Attempt(0, 0, 0.0, 10.0, False, False, 1))
-        edges, frac = utilization_series(log, 1, n_bins=5)
-        np.testing.assert_allclose(frac, 1.0)
-        assert edges.shape == (6,)
+class TestDueDateViolations:
+    def test_hand_computed(self, tiny_due):
+        assert tiny_due.timeline.due_dates == ((0, 4.0), (1, 6.0), (2, 9.0))
+        # One tick at t=1 queues all three shortest-first: completions
+        # 1+2=3 (early), 3+3=6 (exactly due: not late), 6+4=10 (late 1).
+        res = simulate(tiny_due, tiny_due.timeline, batch_interval=1.0)
+        assert [r.completion for r in res.records] == [3.0, 6.0, 10.0]
+        assert due_date_violations(res) == ((2, 1.0),)
 
-    def test_half_occupancy(self):
-        log = AttemptLog()
-        log.record(Attempt(0, 0, 0.0, 5.0, False, False, 1))
-        log.record(Attempt(1, 0, 5.0, 10.0, False, False, 1))
-        edges, frac = utilization_series(log, 2, n_bins=2)
-        np.testing.assert_allclose(frac, 0.5)
+    def test_cancelled_job_never_violates(self, tiny_due):
+        # Job 2 withdraws at t=1.5, before the first tick at t=2; the
+        # others complete at 2+2=4 (due 4) and 4+3=7 (due 6, late 1).
+        timeline = replace(tiny_due.timeline, cancels=((2, 1.5),))
+        res = simulate(tiny_due, timeline, batch_interval=2.0)
+        assert res.records[2].state is JobState.CANCELLED
+        assert due_date_violations(res) == ((1, 1.0),)
 
-    def test_horizon_clipping(self):
-        log = AttemptLog()
-        log.record(Attempt(0, 0, 0.0, 100.0, False, False, 1))
-        _, frac = utilization_series(log, 1, n_bins=4, horizon=50.0)
-        np.testing.assert_allclose(frac, 1.0)
-
-    def test_validation(self):
-        log = simple_log()
-        with pytest.raises(ValueError):
-            utilization_series(AttemptLog(), 1)
-        with pytest.raises(ValueError):
-            utilization_series(log, 0)
-        with pytest.raises(ValueError):
-            utilization_series(log, 1, n_bins=0)
-
-
-class TestFailureTimeline:
-    def test_cumulative(self):
-        log = simple_log()
-        times, cum = failure_timeline(log)
-        np.testing.assert_allclose(times, [6.0])
-        np.testing.assert_array_equal(cum, [1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            failure_timeline(AttemptLog())
-
-
-class TestWasteFraction:
-    def test_value(self):
-        # failed attempt 4s out of 4+4+2=10s total
-        assert waste_fraction(simple_log()) == pytest.approx(4.0 / 10.0)
-
-    def test_no_busy_time_rejected(self):
-        with pytest.raises(ValueError):
-            waste_fraction(AttemptLog())
-
-
-class TestEndToEnd:
-    def test_backlog_series_from_simulation(self, small_grid):
-        jobs = make_jobs(
-            [10.0] * 25,
-            arrivals=np.linspace(0, 100, 25),
-            sds=[0.7] * 25,
-        )
-        sim = GridSimulator(
-            small_grid,
-            MinMinScheduler("risky"),
-            batch_interval=20.0,
-            rng=0,
-            record_attempts=True,
-        )
-        res = sim.run(jobs)
-        times, counts = backlog_series(res)
-        assert counts.max() >= 1
-        assert counts[-1] == 0  # all jobs complete
-        assert (np.diff(times) >= 0).all()
-
-        # utilization over the run is bounded by 1 per site
-        edges, frac = utilization_series(
-            res.attempts, small_grid.n_sites, n_bins=20
-        )
-        assert (frac <= 1.0 + 1e-9).all()
-        assert frac.mean() > 0.0
+    def test_no_due_dates_rejected(self, tiny_due):
+        static = simulate(tiny_due, None, batch_interval=1.0)
+        with pytest.raises(ValueError, match="no due dates"):
+            due_date_violations(static)
+        no_dues = replace(tiny_due.timeline, due_dates=())
+        res = simulate(tiny_due, no_dues, batch_interval=1.0)
+        with pytest.raises(ValueError, match="no due dates"):
+            due_date_violations(res)

@@ -7,7 +7,6 @@ from repro.experiments.config import PaperDefaults, RunSettings
 from repro.experiments.runner import PAPER_LINEUP, run_lineup
 from repro.heuristics.base import BatchScheduler
 from repro.heuristics.factory import make_heuristic
-from repro.heuristics.minmin import MinMinScheduler
 from repro.registry import (
     available_schedulers,
     available_workloads,
@@ -229,33 +228,6 @@ class TestPluginLineup:
             ]
         finally:
             unregister_scheduler("test-fixed")
-
-    def test_lineup_and_schedulers_mutually_exclusive(self):
-        scenario = psa_scenario(PSAConfig(n_jobs=25), rng=3)
-        with pytest.raises(ValueError, match="either"):
-            run_lineup(
-                scenario,
-                None,
-                SETTINGS,
-                schedulers=[MinMinScheduler("risky")],
-                lineup=("min-min-risky",),
-            )
-
-    def test_legacy_schedulers_path_appends_registry_stga(self):
-        scenario = psa_scenario(PSAConfig(n_jobs=25), rng=3)
-        fast = RunSettings(
-            seed=5, ga=PaperDefaults().ga_config(
-                population_size=8, generations=2
-            )
-        )
-        reports = run_lineup(
-            scenario,
-            None,
-            fast,
-            schedulers=[MinMinScheduler("risky")],
-            include_stga=True,
-        )
-        assert [r.scheduler for r in reports] == ["Min-Min Risky", "STGA"]
 
 
 class TestWorkloadRegistry:

@@ -1,9 +1,8 @@
 """Tests for repro.util.rng — deterministic stream management."""
 
 import numpy as np
-import pytest
 
-from repro.util.rng import RngFactory, as_generator, spawn
+from repro.util.rng import RngFactory, as_generator
 
 
 class TestAsGenerator:
@@ -19,28 +18,6 @@ class TestAsGenerator:
 
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
-
-
-class TestSpawn:
-    def test_count(self, rng):
-        assert len(spawn(rng, 5)) == 5
-
-    def test_zero(self, rng):
-        assert spawn(rng, 0) == []
-
-    def test_negative_raises(self, rng):
-        with pytest.raises(ValueError, match="negative"):
-            spawn(rng, -1)
-
-    def test_children_independent(self, rng):
-        a, b = spawn(rng, 2)
-        assert a.random() != b.random()
-
-    def test_reproducible_from_same_parent_state(self):
-        a = spawn(np.random.default_rng(3), 2)
-        b = spawn(np.random.default_rng(3), 2)
-        assert a[0].random() == b[0].random()
-        assert a[1].random() == b[1].random()
 
 
 class TestRngFactory:

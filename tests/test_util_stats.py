@@ -1,17 +1,8 @@
 """Tests for repro.util.stats."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.util.stats import (
-    improvement_pct,
-    is_concave_around,
-    ratio,
-    summarize,
-    t_critical,
-)
+from repro.util.stats import t_critical
 
 
 class TestTCritical:
@@ -55,74 +46,3 @@ class TestTCritical:
             t_critical(5, confidence=1.0)
         with pytest.raises(ValueError, match="confidence"):
             t_critical(5, confidence=0.0)
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.n == 3
-        assert s.mean == 2.0
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert s.median == 2.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            summarize([])
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    def test_bounds_property(self, xs):
-        s = summarize(xs)
-        tol = 1e-9 * (1 + abs(s.maximum))  # float accumulation slack
-        assert s.minimum <= s.median <= s.maximum
-        assert s.minimum - tol <= s.mean <= s.maximum + tol
-
-
-class TestRatios:
-    def test_ratio(self):
-        assert ratio(3.0, 2.0) == 1.5
-
-    def test_ratio_zero_baseline(self):
-        with pytest.raises(ZeroDivisionError):
-            ratio(1.0, 0.0)
-
-    def test_improvement_pct(self):
-        # 80 is a 20% improvement over 100.
-        assert improvement_pct(80.0, 100.0) == pytest.approx(20.0)
-
-    def test_improvement_negative_when_worse(self):
-        assert improvement_pct(110.0, 100.0) < 0
-
-    def test_improvement_zero_reference(self):
-        with pytest.raises(ZeroDivisionError):
-            improvement_pct(1.0, 0.0)
-
-
-class TestConcavity:
-    def test_dip_detected(self):
-        xs = [0, 0.25, 0.5, 0.75, 1.0]
-        ys = [10, 8, 7, 8, 9.5]
-        assert is_concave_around(xs, ys)
-
-    def test_monotone_not_concave(self):
-        xs = [0, 0.5, 1.0]
-        ys = [10, 9, 8]
-        assert not is_concave_around(xs, ys)
-
-    def test_flat_not_concave(self):
-        assert not is_concave_around([0, 0.5, 1], [5, 5, 5])
-
-    def test_unsorted_x_handled(self):
-        xs = [1.0, 0.0, 0.5]
-        ys = [9.5, 10, 7]
-        assert is_concave_around(xs, ys)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            is_concave_around([0, 1], [1, 2])

@@ -5,12 +5,10 @@ import pytest
 
 from repro.util.validation import (
     check_1d,
-    check_2d,
     check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_same_length,
 )
 
 
@@ -53,21 +51,3 @@ class TestArrayChecks:
     def test_1d_rejects_2d(self):
         with pytest.raises(ValueError, match="1-dimensional"):
             check_1d("a", np.zeros((2, 2)))
-
-    def test_2d_ok(self):
-        assert check_2d("m", [[1, 2]]).shape == (1, 2)
-
-    def test_2d_rejects_1d(self):
-        with pytest.raises(ValueError, match="2-dimensional"):
-            check_2d("m", [1, 2])
-
-    def test_same_length_ok(self):
-        assert check_same_length([("a", [1, 2]), ("b", [3, 4])]) == 2
-
-    def test_same_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            check_same_length([("a", [1]), ("b", [1, 2])])
-
-    def test_same_length_empty_raises(self):
-        with pytest.raises(ValueError):
-            check_same_length([])
