@@ -54,25 +54,23 @@ def settings(bench_ga) -> RunSettings:
 
 @pytest.fixture(scope="session")
 def nas_ensemble(settings, scale):
-    """NAS experiment results for the seed ensemble (computed once;
-    shared by the Figure 8, Figure 9 and Table 2 benches)."""
-    from dataclasses import replace
+    """The NAS spec run over the seed ensemble (computed once; shared
+    by the Figure 8, Figure 9 and Table 2 benches)."""
+    from repro.experiments.fig8 import nas_spec
+    from repro.experiments.spec import run_spec
 
-    from repro.experiments.fig8 import nas_experiment
-
-    return [
-        nas_experiment(scale=scale, settings=replace(settings, seed=seed))
-        for seed in ENSEMBLE_SEEDS
-    ]
+    return run_spec(
+        nas_spec(seeds=ENSEMBLE_SEEDS, scale=scale, settings=settings),
+        max_workers=1,
+    )
 
 
-def ensemble_mean(results, name, metric):
-    """Mean of one scheduler's metric across an ensemble."""
+def ensemble_mean(result, name, metric):
+    """Mean of one scheduler's metric across a one-variant ensemble."""
     import numpy as np
 
-    return float(
-        np.mean([getattr(r.by_name()[name], metric) for r in results])
-    )
+    reports = result.cell(result.variants[0].name, name)
+    return float(np.mean([getattr(r, metric) for r in reports]))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -11,8 +11,9 @@ Sufferage f-risky and STGA, the three best performers):
 
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.experiments.fig10 import psa_scaling_experiment
+from benchmarks.conftest import ENSEMBLE_SEEDS, run_once
+from repro.experiments.fig10 import psa_scaling_spec, series
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 MM = "Min-Min f-Risky(f=0.5)"
@@ -20,30 +21,22 @@ SF = "Sufferage f-Risky(f=0.5)"
 
 
 def test_fig10_psa_scaling(benchmark, settings, scale):
-    from dataclasses import replace
-
-    from benchmarks.conftest import ENSEMBLE_SEEDS
-
-    def experiment():
-        return [
-            psa_scaling_experiment(
-                n_values=(1000, 2000, 5000, 10000),
-                scale=scale,
-                settings=replace(settings, seed=seed),
-            )
-            for seed in ENSEMBLE_SEEDS
-        ]
-
-    results = run_once(benchmark, experiment)
-    result = results[0]  # printed series: first seed
+    spec = psa_scaling_spec(
+        n_values=(1000, 2000, 5000, 10000),
+        seeds=ENSEMBLE_SEEDS,
+        scale=scale,
+        settings=settings,
+    )
+    result = run_once(benchmark, run_spec, spec, max_workers=1)
 
     for metric in ("makespan", "avg_response_time", "slowdown_ratio",
                    "n_fail", "n_risk"):
         print()
+        # printed series: first seed
         rows = [
-            [n, *(result.series(name, metric)[i]
-                  for name in (MM, SF, "STGA"))]
-            for i, n in enumerate(result.n_values)
+            [v.n_jobs, *(series(result, name, metric)[i]
+                         for name in (MM, SF, "STGA"))]
+            for i, v in enumerate(result.variants)
         ]
         print(render_table(
             ["N", MM, SF, "STGA"], rows,
@@ -53,12 +46,18 @@ def test_fig10_psa_scaling(benchmark, settings, scale):
     # Monotone growth with N for the load-driven metrics (ensemble
     # mean smooths single-run noise).
     def mean_series(name, metric):
-        return np.mean([r.series(name, metric) for r in results], axis=0)
+        return np.mean(
+            [
+                series(result, name, metric, i)
+                for i in range(len(ENSEMBLE_SEEDS))
+            ],
+            axis=0,
+        )
 
     for name in (MM, SF, "STGA"):
         for metric in ("makespan", "avg_response_time"):
-            series = mean_series(name, metric)
-            assert (np.diff(series) > 0).all(), (
+            line = mean_series(name, metric)
+            assert (np.diff(line) > 0).all(), (
                 f"{name} {metric} not increasing with N"
             )
 

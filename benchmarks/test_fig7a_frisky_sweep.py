@@ -12,9 +12,9 @@ best f is not at the secure end.
 import numpy as np
 
 from benchmarks.conftest import ENSEMBLE_SEEDS, run_once
-from dataclasses import replace
 
-from repro.experiments.fig7 import frisky_makespan_sweep
+from repro.experiments.fig7 import frisky_series, frisky_sweep_spec
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 F_GRID = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
@@ -22,17 +22,21 @@ F_GRID = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
 
 def test_fig7a_frisky_sweep(benchmark, settings, scale):
     def experiment():
+        spec = frisky_sweep_spec(
+            n_jobs=1000,
+            f_values=F_GRID,
+            seeds=ENSEMBLE_SEEDS,
+            scale=scale,
+            settings=settings,
+        )
+        _, per_seed_mm, per_seed_sf = frisky_series(
+            run_spec(spec, max_workers=1)
+        )
         mm = np.zeros(len(F_GRID))
         sf = np.zeros(len(F_GRID))
-        for seed in ENSEMBLE_SEEDS:
-            res = frisky_makespan_sweep(
-                n_jobs=1000,
-                scale=scale,
-                f_values=F_GRID,
-                settings=replace(settings, seed=seed),
-            )
-            mm += res.minmin_makespan
-            sf += res.sufferage_makespan
+        for seed_mm, seed_sf in zip(per_seed_mm, per_seed_sf):
+            mm += seed_mm
+            sf += seed_sf
         return mm / len(ENSEMBLE_SEEDS), sf / len(ENSEMBLE_SEEDS)
 
     mm, sf = run_once(benchmark, experiment)

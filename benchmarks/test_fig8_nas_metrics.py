@@ -15,9 +15,9 @@ Paper claims (NAS, ensemble-robust shapes):
 import numpy as np
 
 from benchmarks.conftest import ENSEMBLE_SEEDS, ensemble_mean, run_once
-from dataclasses import replace
 
-from repro.experiments.fig8 import nas_experiment
+from repro.experiments.fig8 import nas_lineups, nas_spec
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 NAMES = [
@@ -35,9 +35,9 @@ def test_fig8_nas_metrics(benchmark, settings, scale, nas_ensemble):
     # Timed: one representative full lineup run.
     run_once(
         benchmark,
-        nas_experiment,
-        scale=scale,
-        settings=replace(settings, seed=123),
+        run_spec,
+        nas_spec(seeds=(123,), scale=scale, settings=settings),
+        max_workers=1,
     )
 
     means = {
@@ -87,8 +87,8 @@ def test_fig8_nas_metrics(benchmark, settings, scale, nas_ensemble):
         )
 
     # (b) failures: secure never fails; N_fail <= N_risk everywhere.
-    for res in nas_ensemble:
-        for rep in res.reports:
+    for lineup in nas_lineups(nas_ensemble):
+        for rep in lineup:
             assert rep.n_fail <= rep.n_risk
             if "Secure" in rep.scheduler:
                 assert rep.n_fail == 0 and rep.n_risk == 0

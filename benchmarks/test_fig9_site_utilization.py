@@ -12,12 +12,14 @@ Paper claims:
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.experiments.fig8 import nas_lineups
 from repro.experiments.fig9 import utilization_panels
 
 
 def test_fig9_site_utilization(benchmark, nas_ensemble):
     panels_per_seed = run_once(
-        benchmark, lambda: [utilization_panels(r) for r in nas_ensemble]
+        benchmark,
+        lambda: [utilization_panels(r) for r in nas_lineups(nas_ensemble)],
     )
 
     # Print the first seed's three panels (paper layout).

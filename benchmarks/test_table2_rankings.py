@@ -12,13 +12,15 @@ secure ~= 2x (paper: 2.0-2.04).
 import numpy as np
 
 from benchmarks.conftest import ENSEMBLE_SEEDS, run_once
+from repro.experiments.fig8 import nas_lineups
 from repro.experiments.table2 import PAPER_TABLE2, render_table2, table2_rows
 from repro.util.tables import render_table
 
 
 def test_table2_rankings(benchmark, nas_ensemble):
+    lineups = nas_lineups(nas_ensemble)
     rows_per_seed = run_once(
-        benchmark, lambda: [table2_rows(r) for r in nas_ensemble]
+        benchmark, lambda: [table2_rows(r) for r in lineups]
     )
 
     # Ensemble-mean alpha/beta per scheduler.
@@ -46,7 +48,7 @@ def test_table2_rankings(benchmark, nas_ensemble):
         ),
     ))
     print()
-    print(render_table2(nas_ensemble[0]))
+    print(render_table2(lineups[0]))
 
     # STGA is the reference and the winner.
     assert mean_a["STGA"] == 1.0 and mean_b["STGA"] == 1.0

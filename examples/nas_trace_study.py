@@ -10,6 +10,10 @@ risky mode plus a trained STGA — and prints:
 * the three Figure 9 per-site utilization panels,
 * the Table 2 alpha/beta ranking against the STGA.
 
+All three come from one run of the Figure 8 spec (``nas_spec``)
+through ``run_spec``, as ``repro-grid fig8``, ``fig9`` and ``table2``
+do.
+
 Run (about a minute at the default 5% scale):
     python examples/nas_trace_study.py [scale]
 """
@@ -17,8 +21,9 @@ Run (about a minute at the default 5% scale):
 import sys
 
 from repro.experiments.config import RunSettings
-from repro.experiments.fig8 import nas_experiment
+from repro.experiments.fig8 import nas_lineups, nas_spec, render_fig8
 from repro.experiments.fig9 import utilization_panels
+from repro.experiments.spec import run_spec
 from repro.experiments.table2 import render_table2
 
 
@@ -26,19 +31,20 @@ def main(scale: float = 0.05) -> None:
     settings = RunSettings(batch_interval=2000.0, seed=2005)
     print(f"running the NAS line-up at scale {scale} "
           f"({int(16000 * scale)} jobs)...")
-    result = nas_experiment(scale=scale, settings=settings)
+    result = run_spec(nas_spec(scale=scale, settings=settings))
+    (lineup,) = nas_lineups(result)
 
     print()
-    print(result.render())
+    print(render_fig8(result))
 
-    for panel in utilization_panels(result):
+    for panel in utilization_panels(lineup):
         print()
         print(panel.render())
 
     print()
-    print(render_table2(result))
+    print(render_table2(lineup))
 
-    stga = result.stga
+    stga = lineup[-1]
     print(
         f"\nSTGA: {stga.n_batches} scheduling events, "
         f"{stga.scheduler_seconds:.2f} s total decision time "

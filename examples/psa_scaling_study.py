@@ -11,6 +11,10 @@ Three experiments on parameter-sweep workloads:
 3. Figure 10: Min-Min f-risky vs Sufferage f-risky vs STGA as the
    job count N scales up.
 
+Each experiment is a spec builder run through ``run_spec`` and
+printed by its figure renderer — exactly what ``repro-grid fig7a``,
+``fig7b`` and ``fig10`` do.
+
 Run (a few minutes at the default 5% scale):
     python examples/psa_scaling_study.py [scale]
 """
@@ -18,8 +22,14 @@ Run (a few minutes at the default 5% scale):
 import sys
 
 from repro.experiments.config import RunSettings
-from repro.experiments.fig7 import frisky_makespan_sweep, stga_iteration_sweep
-from repro.experiments.fig10 import psa_scaling_experiment
+from repro.experiments.fig7 import (
+    frisky_sweep_spec,
+    render_fig7a,
+    render_fig7b,
+    stga_iteration_spec,
+)
+from repro.experiments.fig10 import psa_scaling_spec, render_fig10
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 
@@ -27,36 +37,35 @@ def main(scale: float = 0.05) -> None:
     settings = RunSettings(batch_interval=1000.0, seed=2005)
 
     print("=== Figure 7(a): risk-level sweep ===")
-    sweep = frisky_makespan_sweep(
-        scale=scale, f_values=(0.0, 0.25, 0.5, 0.75, 1.0), settings=settings
-    )
-    print(sweep.render())
-    print(f"best f: Min-Min {sweep.best_f('minmin')}, "
-          f"Sufferage {sweep.best_f('sufferage')} (paper: 0.5-0.6)\n")
+    sweep = run_spec(frisky_sweep_spec(
+        f_values=(0.0, 0.25, 0.5, 0.75, 1.0), scale=scale, settings=settings
+    ))
+    print(render_fig7a(sweep))
+    print("(paper: best f 0.5-0.6)\n")
 
     print("=== Figure 7(b): STGA convergence ===")
-    conv = stga_iteration_sweep(
-        scale=scale, generations=(0, 10, 25, 50, 100), settings=settings
-    )
-    print(conv.render())
-    print(f"converged after ~{conv.converged_after()} generations "
-          "(paper: ~50)\n")
+    conv = run_spec(stga_iteration_spec(
+        generations=(0, 10, 25, 50, 100), scale=scale, settings=settings
+    ))
+    print(render_fig7b(conv))
+    print("(paper: ~50)\n")
 
     print("=== Figure 10: scaling N ===")
-    scaling = psa_scaling_experiment(
+    scaling = run_spec(psa_scaling_spec(
         n_values=(1000, 2000, 5000), scale=scale, settings=settings
-    )
-    for metric in ("makespan", "avg_response", "slowdown", "n_fail"):
-        print(scaling.render(metric))
-        print()
+    ))
+    print(render_fig10(scaling))
 
-    stga = scaling.reports["STGA"]
+    rows = []
+    for variant in scaling.variants:
+        (stga,) = scaling.cell(variant.name, "STGA")
+        rows.append([
+            variant.n_jobs,
+            stga.scheduler_seconds / max(stga.n_batches, 1) * 1e3,
+        ])
     print(render_table(
         ["N", "decision ms/batch"],
-        [
-            [n, r.scheduler_seconds / max(r.n_batches, 1) * 1e3]
-            for n, r in zip(scaling.n_values, stga)
-        ],
+        rows,
         title="STGA decision time per scheduling event",
     ))
 

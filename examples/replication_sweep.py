@@ -22,7 +22,8 @@ Run (about a minute at the default 2% scale):
 import sys
 
 from repro.experiments.config import RunSettings
-from repro.experiments.fig7 import frisky_makespan_sweep
+from repro.experiments.fig7 import frisky_sweep_spec, render_fig7a
+from repro.experiments.spec import run_spec
 from repro.experiments.store import (
     compare_runs,
     list_runs,
@@ -69,16 +70,17 @@ def main(
     print()
 
     print("=== Figure 7(a) with error bars ===")
-    fig7 = frisky_makespan_sweep(
-        scale=scale,
-        f_values=(0.0, 0.25, 0.5, 0.75, 1.0),
-        settings=settings,
-        seeds=seeds,
+    fig7 = run_spec(
+        frisky_sweep_spec(
+            f_values=(0.0, 0.25, 0.5, 0.75, 1.0),
+            seeds=seeds,
+            scale=scale,
+            settings=settings,
+        ),
         max_workers=max_workers,
     )
-    print(fig7.render())
-    print(f"best f (ensemble mean): Min-Min {fig7.best_f('minmin')}, "
-          f"Sufferage {fig7.best_f('sufferage')} (paper: 0.5-0.6)")
+    print(render_fig7a(fig7))
+    print("(best f of the ensemble mean; paper: 0.5-0.6)")
     print()
 
     print("=== Run store: persist, reload, self-compare ===")

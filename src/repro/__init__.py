@@ -13,7 +13,8 @@ The package implements, from scratch:
 * the NAS-trace synthesizer and PSA workload generator
   (:mod:`repro.workloads`),
 * the Section 4.1 metrics (:mod:`repro.metrics`) and one experiment
-  driver per paper table/figure (:mod:`repro.experiments`).
+  spec builder and renderer per paper table/figure
+  (:mod:`repro.experiments`).
 
 Quickstart::
 

@@ -38,9 +38,10 @@ Examples
 
 ``--scale 1.0`` runs the paper-size experiments (minutes of CPU time);
 the default is a fast scaled-down run with identical distributions.
-``emit-spec`` writes a figure driver's declarative
-:class:`~repro.experiments.spec.ExperimentSpec` as JSON and ``run``
-executes any spec file — the shippable unit for distributing
+Every figure command runs its experiment's declarative
+:class:`~repro.experiments.spec.ExperimentSpec` through ``run_spec``
+and renders the result; ``emit-spec`` writes that spec as JSON and
+``run`` executes any spec file — the shippable unit for distributing
 replications across hosts.  ``shard`` partitions a spec's
 (variant, seed) grid into sub-spec files (plus a ``manifest.json``
 tracking per-shard dispatch state), ``run --shard-index I
@@ -96,14 +97,14 @@ from pathlib import Path
 from repro.experiments.ablation import stga_vs_conventional
 from repro.experiments.config import RunSettings
 from repro.experiments.fig7 import (
-    frisky_makespan_sweep,
     frisky_sweep_spec,
+    render_fig7a,
+    render_fig7b,
     stga_iteration_spec,
-    stga_iteration_sweep,
 )
-from repro.experiments.fig8 import nas_experiment, nas_spec
-from repro.experiments.fig9 import utilization_panels
-from repro.experiments.fig10 import psa_scaling_experiment, psa_scaling_spec
+from repro.experiments.fig8 import nas_lineups, nas_spec, render_fig8
+from repro.experiments.fig9 import render_fig9
+from repro.experiments.fig10 import psa_scaling_spec, render_fig10
 from repro.experiments.dispatch import (
     SHARD_STRATEGIES,
     ShardError,
@@ -164,15 +165,19 @@ from repro.util.tables import render_table
 
 __all__ = ["main", "build_parser"]
 
-#: experiment name -> spec builder, for ``emit-spec``
-SPEC_BUILDERS = {
-    "fig7a": frisky_sweep_spec,
-    "fig7b": stga_iteration_spec,
-    "fig8": nas_spec,
-    "fig9": nas_spec,  # Figure 9 reuses the Figure 8 runs
-    "fig10": psa_scaling_spec,
-    "table2": table2_spec,
+#: figure command -> (spec builder, renderer over its run_spec result);
+#: ``repro-grid figN`` prints the rendering of its builder's spec run
+FIGURES = {
+    "fig7a": (frisky_sweep_spec, render_fig7a),
+    "fig7b": (stga_iteration_spec, render_fig7b),
+    "fig8": (nas_spec, render_fig8),
+    "fig9": (nas_spec, render_fig9),  # Figure 9 reuses the Figure 8 runs
+    "fig10": (psa_scaling_spec, render_fig10),
+    "table2": (table2_spec, lambda res: render_table2(nas_lineups(res)[0])),
 }
+
+#: experiment name -> spec builder, for ``emit-spec``
+SPEC_BUILDERS = {name: builder for name, (builder, _) in FIGURES.items()}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -1611,30 +1616,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if not _check_scale(args):
         return 2
     settings = _settings(args)
-    if args.experiment == "fig7a":
-        res = frisky_makespan_sweep(scale=args.scale, settings=settings)
-        print(res.render())
-        print(f"\nbest f (Min-Min): {res.best_f('minmin'):.2f}   "
-              f"best f (Sufferage): {res.best_f('sufferage'):.2f}")
-    elif args.experiment == "fig7b":
-        res = stga_iteration_sweep(scale=args.scale, settings=settings)
-        print(res.render())
-        print(f"\nconverged after ~{res.converged_after()} generations")
-    elif args.experiment in ("fig8", "fig9", "table2"):
-        nas = nas_experiment(scale=args.scale, settings=settings)
-        if args.experiment == "fig8":
-            print(nas.render())
-        elif args.experiment == "fig9":
-            for panel in utilization_panels(nas):
-                print(panel.render())
-                print()
-        else:
-            print(render_table2(nas))
-    elif args.experiment == "fig10":
-        res = psa_scaling_experiment(scale=args.scale, settings=settings)
-        for metric in ("makespan", "avg_response", "slowdown", "n_fail"):
-            print(res.render(metric))
-            print()
+    if args.experiment in FIGURES:
+        builder, render = FIGURES[args.experiment]
+        spec = builder(scale=args.scale, settings=settings)
+        print(render(run_spec(spec, max_workers=1)))
     else:  # ablation
         cmp_ = stga_vs_conventional(scale=args.scale, settings=settings)
         print(

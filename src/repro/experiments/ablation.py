@@ -23,17 +23,12 @@ from repro.core.ga import GAConfig
 from repro.core.history import HistoryTable
 from repro.core.stga import StandardGAScheduler, STGAScheduler
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.runner import (
-    make_trained_stga,
-    run_scheduler,
-    scale_jobs,
-)
+from repro.experiments.runner import make_trained_stga, run_scheduler
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import ScenarioVariant
 from repro.heuristics.minmin import MinMinScheduler
 from repro.metrics.report import PerformanceReport
 from repro.util.rng import RngFactory
-from repro.workloads.psa import PSAConfig, psa_scenario
 
 __all__ = [
     "GAComparisonResult",
@@ -49,13 +44,11 @@ __all__ = [
 
 
 def _psa_pair(n_jobs: int, scale: float, settings: RunSettings, defaults):
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(PSAConfig(n_jobs=n), rng=settings.seed)
-    training = psa_scenario(
-        PSAConfig(n_jobs=scale_jobs(defaults.n_training_jobs, scale)),
-        rng=settings.seed + 7919,
-    )
-    return scenario, training
+    return ScenarioVariant(
+        name=f"PSA N={n_jobs}",
+        n_jobs=n_jobs,
+        n_training_jobs=defaults.n_training_jobs,
+    ).build_scenarios(settings.seed, scale)
 
 
 @dataclass(frozen=True)
@@ -240,8 +233,9 @@ def lambda_sensitivity(
     advantage shrinks — this sweep quantifies how much our default
     λ = 3.0 matters.
     """
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(PSAConfig(n_jobs=n), rng=settings.seed)
+    scenario, _ = ScenarioVariant(
+        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
+    ).build_scenarios(settings.seed, scale)
     out: dict[float, dict[str, PerformanceReport]] = {}
     for lam in lams:
         s = replace(settings, lam=float(lam))
@@ -263,8 +257,9 @@ def failure_point_comparison(
     settings: RunSettings = RunSettings(),
 ) -> dict[str, PerformanceReport]:
     """'uniform' vs 'end' fail-stop point under risky Min-Min."""
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(PSAConfig(n_jobs=n), rng=settings.seed)
+    scenario, _ = ScenarioVariant(
+        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
+    ).build_scenarios(settings.seed, scale)
     out: dict[str, PerformanceReport] = {}
     for point in ("uniform", "end"):
         s = replace(settings, failure_point=point)

@@ -11,105 +11,34 @@ response in the paper).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ga import GAConfig
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.runner import (
-    PAPER_LINEUP,
-    make_trained_stga,
-    run_scheduler,
-    scale_jobs,
-)
-from repro.experiments.spec import ExperimentSpec, run_spec
-from repro.experiments.sweep import (
-    SweepResult,
-    job_scaling_variants,
-)
-from repro.heuristics.minmin import MinMinScheduler
-from repro.heuristics.sufferage import SufferageScheduler
-from repro.metrics.report import PerformanceReport
+from repro.experiments.spec import ExperimentSpec
+from repro.experiments.sweep import SweepResult, job_scaling_variants
 from repro.util.tables import render_table
-from repro.workloads.psa import PSAConfig, psa_scenario
 
 __all__ = [
-    "PSAScalingResult",
-    "psa_scaling_experiment",
-    "psa_scaling_ensemble",
     "psa_scaling_spec",
+    "series",
+    "render_fig10",
     "DEFAULT_N_GRID",
+    "FIG10_LINEUP",
 ]
 
 DEFAULT_N_GRID = (1000, 2000, 5000, 10000)
 
+#: the figure's three schedulers, the paper's best performers
+FIG10_LINEUP = ("min-min-f-risky", "sufferage-f-risky", "stga")
 
-@dataclass(frozen=True)
-class PSAScalingResult:
-    """Reports indexed by (scheduler, N)."""
-
-    n_values: tuple[int, ...]
-    reports: dict[str, tuple[PerformanceReport, ...]]
-
-    def series(self, scheduler: str, metric: str) -> np.ndarray:
-        """One panel line, e.g. ``series("STGA", "makespan")``."""
-        reps = self.reports[scheduler]
-        return np.array([getattr(r, metric) for r in reps], dtype=float)
-
-    def render(self, metric: str = "makespan") -> str:
-        """One panel as a table: rows = N, columns = schedulers."""
-        names = list(self.reports)
-        rows = []
-        for i, n in enumerate(self.n_values):
-            rows.append([n] + [self.reports[nm][i].row()[1:][_metric_col(metric)]
-                               for nm in names])
-        return render_table(
-            ["N"] + names, rows, title=f"Figure 10: {metric} vs N (PSA)"
-        )
-
-
-def _metric_col(metric: str) -> int:
-    cols = {"makespan": 0, "avg_response": 1, "slowdown": 2, "n_risk": 3,
-            "n_fail": 4}
-    if metric not in cols:
-        raise KeyError(f"unknown panel metric {metric!r}")
-    return cols[metric]
-
-
-def psa_scaling_experiment(
-    *,
-    n_values=DEFAULT_N_GRID,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-    ga_config: GAConfig | None = None,
-) -> PSAScalingResult:
-    """Run Figure 10: three schedulers at each workload size."""
-    ns = tuple(int(n) for n in n_values)
-    reports: dict[str, list[PerformanceReport]] = {
-        "Min-Min f-Risky(f=0.5)": [],
-        "Sufferage f-Risky(f=0.5)": [],
-        "STGA": [],
-    }
-    for n in ns:
-        n_eff = scale_jobs(n, scale)
-        scenario = psa_scenario(PSAConfig(n_jobs=n_eff), rng=settings.seed)
-        training = psa_scenario(
-            PSAConfig(n_jobs=scale_jobs(defaults.n_training_jobs, scale)),
-            rng=settings.seed + 7919,
-        )
-        mm = MinMinScheduler("f-risky", f=defaults.f_risky, lam=settings.lam)
-        sf = SufferageScheduler("f-risky", f=defaults.f_risky, lam=settings.lam)
-        stga = make_trained_stga(
-            scenario, training, settings, defaults=defaults, ga_config=ga_config
-        )
-        for sched in (mm, sf, stga):
-            reports[sched.name].append(run_scheduler(scenario, sched, settings))
-    return PSAScalingResult(
-        n_values=ns,
-        reports={k: tuple(v) for k, v in reports.items()},
-    )
+#: panel label -> PerformanceReport field, in print order
+_PANELS = {
+    "makespan": "makespan",
+    "avg_response": "avg_response_time",
+    "slowdown": "slowdown_ratio",
+    "n_fail": "n_fail",
+}
 
 
 def psa_scaling_spec(
@@ -121,12 +50,12 @@ def psa_scaling_spec(
     defaults: PaperDefaults = PaperDefaults(),
 ) -> ExperimentSpec:
     """Figure 10 as a declarative spec: one PSA variant per workload
-    size N, the paper's full lineup (a superset of the figure's three
-    schedulers), ``seeds`` defaulting to the single ``settings.seed``.
+    size N, the figure's three schedulers, ``seeds`` defaulting to the
+    single ``settings.seed``.
     """
     return ExperimentSpec(
         name="fig10-psa-scaling",
-        schedulers=PAPER_LINEUP,
+        schedulers=FIG10_LINEUP,
         variants=job_scaling_variants(
             n_values, n_training_jobs=defaults.n_training_jobs
         ),
@@ -136,28 +65,34 @@ def psa_scaling_spec(
     )
 
 
-def psa_scaling_ensemble(
-    seeds: Sequence[int],
-    *,
-    n_values=DEFAULT_N_GRID,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-    max_workers: int | None = None,
-) -> SweepResult:
-    """Figure 10 with error bars: the N-grid replicated over seeds.
-
-    Fans the (N, seed) grid out over a process pool and returns a
-    :class:`~repro.experiments.sweep.SweepResult` whose
-    ``render(metric)`` prints each panel as mean ± std series (the
-    full lineup, a superset of the figure's three schedulers).  Thin
-    wrapper: builds :func:`psa_scaling_spec` and executes it.
-    """
-    return run_spec(
-        psa_scaling_spec(
-            n_values=n_values, seeds=seeds, scale=scale, settings=settings,
-            defaults=defaults,
-        ),
-        defaults=defaults,
-        max_workers=max_workers,
+def series(
+    result: SweepResult, scheduler: str, metric: str, seed_index: int = 0
+) -> np.ndarray:
+    """One panel line over N for one seed, e.g.
+    ``series(result, "STGA", "makespan")``."""
+    return np.array(
+        [
+            getattr(result.cell(v.name, scheduler)[seed_index], metric)
+            for v in result.variants
+        ],
+        dtype=float,
     )
+
+
+def render_fig10(result: SweepResult) -> str:
+    """The four panels of the first seed's run, each a table with
+    rows = N and columns = schedulers, followed by a blank line."""
+    names = result.schedulers()
+    tables = [
+        render_table(
+            ["N", *names],
+            [
+                [v.n_jobs]
+                + [getattr(result.cell(v.name, nm)[0], field) for nm in names]
+                for v in result.variants
+            ],
+            title=f"Figure 10: {label} vs N (PSA)",
+        )
+        for label, field in _PANELS.items()
+    ]
+    return "\n\n".join(tables) + "\n"

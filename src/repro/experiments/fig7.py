@@ -8,163 +8,39 @@ workloads with N = 1000 jobs.
     The paper sees fluctuation up to ~25 iterations, convergence
     around 40-50, and a flat curve beyond — justifying 100 iterations
     as a safe default.
+
+Each panel is a spec builder plus a renderer over the
+:class:`~repro.experiments.sweep.SweepResult` that
+:func:`~repro.experiments.spec.run_spec` returns for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.runner import make_trained_stga, run_scheduler, scale_jobs
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.sweep import ScenarioVariant, parallel_map
-from repro.heuristics.minmin import MinMinScheduler
-from repro.heuristics.sufferage import SufferageScheduler
+from repro.experiments.sweep import ScenarioVariant, SweepResult
 from repro.util.tables import render_table
-from repro.workloads.psa import PSAConfig, psa_scenario
 
 __all__ = [
-    "FriskySweepResult",
-    "frisky_makespan_sweep",
     "frisky_sweep_spec",
-    "StgaIterationSweepResult",
-    "stga_iteration_sweep",
+    "frisky_series",
+    "best_f",
+    "render_fig7a",
     "stga_iteration_spec",
+    "iteration_series",
+    "converged_after",
+    "render_fig7b",
     "DEFAULT_F_GRID",
     "DEFAULT_ITERATION_GRID",
 ]
 
 DEFAULT_F_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 2))
 DEFAULT_ITERATION_GRID = (0, 5, 10, 25, 40, 50, 75, 100, 150, 200)
-
-
-def _psa(n_jobs: int, seed: int) -> PSAConfig:
-    return PSAConfig(n_jobs=n_jobs)
-
-
-@dataclass(frozen=True)
-class FriskySweepResult:
-    """Series for Figure 7(a).
-
-    When the sweep was replicated over several seeds the makespan
-    arrays hold the per-f *means* and the ``*_std`` fields the
-    per-f sample standard deviations (error bars); single-seed runs
-    leave the std fields ``None``.
-    """
-
-    f_values: np.ndarray
-    minmin_makespan: np.ndarray
-    sufferage_makespan: np.ndarray
-    minmin_std: np.ndarray | None = None
-    sufferage_std: np.ndarray | None = None
-    n_seeds: int = 1
-
-    def best_f(self, which: str = "minmin") -> float:
-        """f value attaining the minimum makespan."""
-        series = (
-            self.minmin_makespan if which == "minmin" else self.sufferage_makespan
-        )
-        return float(self.f_values[int(np.argmin(series))])
-
-    def render(self) -> str:
-        """Paper-style series table (mean ± std under replication)."""
-        if self.minmin_std is None:
-            rows = [
-                [f, mm, sf]
-                for f, mm, sf in zip(
-                    self.f_values, self.minmin_makespan, self.sufferage_makespan
-                )
-            ]
-        else:
-            rows = [
-                [f, f"{mm:.6g} ± {ms:.3g}", f"{sf:.6g} ± {ss:.3g}"]
-                for f, mm, ms, sf, ss in zip(
-                    self.f_values,
-                    self.minmin_makespan,
-                    self.minmin_std,
-                    self.sufferage_makespan,
-                    self.sufferage_std,
-                )
-            ]
-        title = "Figure 7(a): makespan vs risk level f (PSA)"
-        if self.n_seeds > 1:
-            title += f", {self.n_seeds} seeds"
-        return render_table(
-            ["f", "Min-Min f-Risky makespan", "Sufferage f-Risky makespan"],
-            rows,
-            title=title,
-        )
-
-
-def _frisky_one_seed(task) -> tuple[np.ndarray, np.ndarray]:
-    """One replication of the Figure 7(a) sweep (picklable worker)."""
-    seed, n_jobs, scale, f_values, settings = task
-    res = frisky_makespan_sweep(
-        n_jobs=n_jobs,
-        scale=scale,
-        f_values=f_values,
-        settings=replace(settings, seed=seed),
-    )
-    return res.minmin_makespan, res.sufferage_makespan
-
-
-def frisky_makespan_sweep(
-    *,
-    n_jobs: int = 1000,
-    scale: float = 1.0,
-    f_values=DEFAULT_F_GRID,
-    settings: RunSettings = RunSettings(),
-    seeds: Sequence[int] | None = None,
-    max_workers: int | None = None,
-) -> FriskySweepResult:
-    """Run Figure 7(a): one simulation per (heuristic, f) pair.
-
-    ``seeds`` replicates the whole sweep once per seed (fanned out
-    over a process pool, see
-    :func:`repro.experiments.sweep.parallel_map`) and returns per-f
-    mean ± std series — the error-bar version of the figure.
-    """
-    if seeds is not None:
-        tasks = [
-            (int(s), n_jobs, scale, tuple(f_values), settings) for s in seeds
-        ]
-        if not tasks:
-            raise ValueError("seeds must be non-empty when given")
-        results = parallel_map(
-            _frisky_one_seed, tasks, max_workers=max_workers
-        )
-        mm = np.stack([r[0] for r in results])  # (n_seeds, n_f)
-        sf = np.stack([r[1] for r in results])
-        ddof = 1 if len(tasks) > 1 else 0
-        return FriskySweepResult(
-            f_values=np.asarray(f_values, dtype=float),
-            minmin_makespan=mm.mean(axis=0),
-            sufferage_makespan=sf.mean(axis=0),
-            minmin_std=mm.std(axis=0, ddof=ddof),
-            sufferage_std=sf.std(axis=0, ddof=ddof),
-            n_seeds=len(tasks),
-        )
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(_psa(n, settings.seed), rng=settings.seed)
-    fs = np.asarray(f_values, dtype=float)
-    mm = np.empty(fs.size)
-    sf = np.empty(fs.size)
-    for i, f in enumerate(fs):
-        mm[i] = run_scheduler(
-            scenario, MinMinScheduler("f-risky", f=float(f), lam=settings.lam),
-            settings,
-        ).makespan
-        sf[i] = run_scheduler(
-            scenario,
-            SufferageScheduler("f-risky", f=float(f), lam=settings.lam),
-            settings,
-        ).makespan
-    return FriskySweepResult(
-        f_values=fs, minmin_makespan=mm, sufferage_makespan=sf
-    )
 
 
 def frisky_sweep_spec(
@@ -204,6 +80,69 @@ def frisky_sweep_spec(
     )
 
 
+def frisky_series(
+    result: SweepResult,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f_values, minmin, sufferage)`` of a Figure 7(a) run.
+
+    The makespan arrays are ``(n_seeds, n_f)``.  The spec lists every
+    Min-Min ref before every Sufferage ref, and each report name ends
+    in ``(f=X)``, which is where the f axis is read back from.
+    """
+    variant = result.variants[0].name
+    names = result.schedulers()
+    half = len(names) // 2
+    f_values = np.array(
+        [float(name[name.rindex("(f=") + 3:-1]) for name in names[:half]]
+    )
+
+    def makespans(part: Sequence[str]) -> np.ndarray:
+        return np.array(
+            [[r.makespan for r in result.cell(variant, n)] for n in part]
+        ).T
+
+    return f_values, makespans(names[:half]), makespans(names[half:])
+
+
+def best_f(result: SweepResult, which: str = "minmin") -> float:
+    """f value attaining the minimum (seed-mean) makespan."""
+    f_values, mm, sf = frisky_series(result)
+    series = (mm if which == "minmin" else sf).mean(axis=0)
+    return float(f_values[int(np.argmin(series))])
+
+
+def render_fig7a(result: SweepResult) -> str:
+    """Paper-style series table (mean ± std over several seeds) and
+    each heuristic's best f."""
+    f_values, mm, sf = frisky_series(result)
+    n_seeds = len(result.seeds)
+    if n_seeds == 1:
+        rows = [[f, a, b] for f, a, b in zip(f_values, mm[0], sf[0])]
+    else:
+        rows = [
+            [f, f"{a:.6g} ± {sa:.3g}", f"{b:.6g} ± {sb:.3g}"]
+            for f, a, sa, b, sb in zip(
+                f_values,
+                mm.mean(axis=0),
+                mm.std(axis=0, ddof=1),
+                sf.mean(axis=0),
+                sf.std(axis=0, ddof=1),
+            )
+        ]
+    title = "Figure 7(a): makespan vs risk level f (PSA)"
+    if n_seeds > 1:
+        title += f", {n_seeds} seeds"
+    table = render_table(
+        ["f", "Min-Min f-Risky makespan", "Sufferage f-Risky makespan"],
+        rows,
+        title=title,
+    )
+    return (
+        f"{table}\n\nbest f (Min-Min): {best_f(result, 'minmin'):.2f}   "
+        f"best f (Sufferage): {best_f(result, 'sufferage'):.2f}"
+    )
+
+
 def stga_iteration_spec(
     *,
     n_jobs: int = 1000,
@@ -217,7 +156,9 @@ def stga_iteration_spec(
 
     The generation-budget axis maps onto scenario variants carrying
     per-variant ``ga_overrides`` — same PSA workload, same warm-up,
-    only the STGA's iteration budget changes.
+    only the STGA's iteration budget changes.  The figure studies
+    Table 1's GA, so the spec pins ``defaults.ga_config()`` (makespan
+    fitness, no stall exit) in place of ``settings.ga``.
     """
     gens = sorted(set(int(g) for g in generations))
     if any(g < 0 for g in gens):
@@ -238,59 +179,41 @@ def stga_iteration_spec(
         seeds=tuple(seeds) if seeds is not None else (settings.seed,),
         metrics=("makespan",),
         scale=scale,
-        settings=settings,
+        settings=replace(settings, ga=defaults.ga_config()),
     )
 
 
-@dataclass(frozen=True)
-class StgaIterationSweepResult:
-    """Series for Figure 7(b)."""
-
-    generations: np.ndarray
-    makespan: np.ndarray
-
-    def converged_after(self, *, rel_tol: float = 0.01) -> int:
-        """First generation budget whose makespan is within ``rel_tol``
-        of the best over the grid (the paper's "converges at ~50")."""
-        best = self.makespan.min()
-        ok = self.makespan <= best * (1 + rel_tol)
-        return int(self.generations[int(np.argmax(ok))])
-
-    def render(self) -> str:
-        """Paper-style series table."""
-        return render_table(
-            ["generations", "STGA makespan"],
-            list(zip(self.generations, self.makespan)),
-            title="Figure 7(b): STGA makespan vs iteration budget (PSA)",
-        )
-
-
-def stga_iteration_sweep(
-    *,
-    n_jobs: int = 1000,
-    scale: float = 1.0,
-    generations=DEFAULT_ITERATION_GRID,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-) -> StgaIterationSweepResult:
-    """Run Figure 7(b): one full simulation per generation budget."""
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(_psa(n, settings.seed), rng=settings.seed)
-    n_train = scale_jobs(defaults.n_training_jobs, scale)
-    training = psa_scenario(
-        PSAConfig(n_jobs=n_train), rng=settings.seed + 7919
+def iteration_series(result: SweepResult) -> tuple[np.ndarray, np.ndarray]:
+    """``(generations, makespan)`` of a Figure 7(b) run, one point per
+    budget variant; the makespan is the seed mean."""
+    (stga,) = result.schedulers()
+    generations = np.array(
+        [dict(v.ga_overrides)["generations"] for v in result.variants]
     )
-    gens = np.asarray(sorted(set(int(g) for g in generations)), dtype=int)
-    if (gens < 0).any():
-        raise ValueError("generation budgets must be non-negative")
-    spans = np.empty(gens.size)
-    for i, g in enumerate(gens):
-        stga = make_trained_stga(
-            scenario,
-            training,
-            settings,
-            defaults=defaults,
-            ga_config=defaults.ga_config(generations=int(g)),
-        )
-        spans[i] = run_scheduler(scenario, stga, settings).makespan
-    return StgaIterationSweepResult(generations=gens, makespan=spans)
+    makespan = np.array(
+        [
+            np.mean([r.makespan for r in result.cell(v.name, stga)])
+            for v in result.variants
+        ]
+    )
+    return generations, makespan
+
+
+def converged_after(result: SweepResult, *, rel_tol: float = 0.01) -> int:
+    """First generation budget whose makespan is within ``rel_tol`` of
+    the best over the grid (the paper's "converges at ~50")."""
+    generations, makespan = iteration_series(result)
+    ok = makespan <= makespan.min() * (1 + rel_tol)
+    return int(generations[int(np.argmax(ok))])
+
+
+def render_fig7b(result: SweepResult) -> str:
+    """Paper-style series table and the convergence point."""
+    table = render_table(
+        ["generations", "STGA makespan"],
+        list(zip(*iteration_series(result))),
+        title="Figure 7(b): STGA makespan vs iteration budget (PSA)",
+    )
+    return (
+        f"{table}\n\nconverged after ~{converged_after(result)} generations"
+    )

@@ -3,92 +3,24 @@
 Four panels over one set of runs: (a) makespan, (b) N_fail / N_risk,
 (c) slowdown ratio, (d) average response time, for Min-Min and
 Sufferage in secure / f-risky / risky mode plus the STGA.  Figure 9
-and Table 2 reuse the same reports, so :func:`nas_experiment` is the
-single entry point for the NAS study.
+and Table 2 reuse the same reports, so :func:`nas_spec` is the single
+experiment of the NAS study; :func:`nas_lineups` hands its reports to
+their renderers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
-from repro.core.ga import GAConfig
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.runner import PAPER_LINEUP, run_lineup, scale_jobs
-from repro.experiments.spec import ExperimentSpec, run_spec
+from repro.experiments.runner import PAPER_LINEUP
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import ScenarioVariant, SweepResult
 from repro.metrics.report import PerformanceReport
 from repro.util.tables import render_table
-from repro.workloads.nas import NASConfig, nas_scenario
+from repro.workloads.nas import NASConfig
 
-__all__ = [
-    "NASExperimentResult",
-    "nas_experiment",
-    "nas_ensemble",
-    "nas_spec",
-]
-
-
-@dataclass(frozen=True)
-class NASExperimentResult:
-    """Reports for the seven algorithms, in presentation order."""
-
-    reports: tuple[PerformanceReport, ...]
-
-    def by_name(self) -> dict[str, PerformanceReport]:
-        """Index the reports by scheduler name."""
-        return {r.scheduler: r for r in self.reports}
-
-    @property
-    def stga(self) -> PerformanceReport:
-        """The STGA row."""
-        return self.by_name()["STGA"]
-
-    def render(self) -> str:
-        """All four panels as one metrics table."""
-        return render_table(
-            list(PerformanceReport.ROW_HEADERS),
-            [r.row() for r in self.reports],
-            title="Figure 8: NAS trace workload, all Section 4.1 metrics",
-        )
-
-
-def nas_experiment(
-    *,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-    ga_config: GAConfig | None = None,
-    nas_config: NASConfig | None = None,
-) -> NASExperimentResult:
-    """Run the Figure 8 / Figure 9 / Table 2 experiment.
-
-    ``scale`` shrinks the job counts (trace *and* training set) while
-    keeping the squeezed 46-day horizon and all distributions; the
-    trace-day count is shrunk proportionally so arrival pressure per
-    day is preserved.
-    """
-    base = nas_config if nas_config is not None else NASConfig()
-    n = scale_jobs(base.n_jobs, scale)
-    days = max(2, int(round(base.trace_days * scale)))
-    cfg = replace(base, n_jobs=n, trace_days=days)
-    scenario = nas_scenario(cfg, rng=settings.seed)
-
-    n_train = scale_jobs(defaults.n_training_jobs, scale)
-    train_days = max(1, int(round(days * n_train / max(n, 1))))
-    training = nas_scenario(
-        replace(base, n_jobs=n_train, trace_days=train_days),
-        rng=settings.seed + 7919,
-    )
-
-    reports = run_lineup(
-        scenario,
-        training,
-        settings,
-        defaults=defaults,
-        ga_config=ga_config,
-    )
-    return NASExperimentResult(reports=tuple(reports))
+__all__ = ["nas_spec", "nas_lineups", "render_fig8"]
 
 
 def nas_spec(
@@ -101,10 +33,8 @@ def nas_spec(
     """The Figure 8 / Figure 9 / Table 2 experiment as a declarative
     spec: the paper's seven-ref lineup on one NAS variant.
 
-    ``seeds`` defaults to the single ``settings.seed``, in which case
-    :func:`~repro.experiments.spec.run_spec` reproduces
-    :func:`nas_experiment` bit for bit; more seeds give the error-bar
-    ensemble.
+    ``seeds`` defaults to the single ``settings.seed`` (what
+    ``repro-grid fig8`` runs); more seeds give the error-bar ensemble.
     """
     return ExperimentSpec(
         name="fig8-nas",
@@ -123,25 +53,16 @@ def nas_spec(
     )
 
 
-def nas_ensemble(
-    seeds: Sequence[int],
-    *,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-    max_workers: int | None = None,
-) -> SweepResult:
-    """Figure 8 / Table 2 with error bars: one NAS run per seed.
+def nas_lineups(result: SweepResult) -> list[list[PerformanceReport]]:
+    """One report list per seed, in lineup order, of a :func:`nas_spec`
+    run — the shape Figure 9's panels and Table 2 take."""
+    return result.per_seed_lineups(result.variants[0].name)
 
-    Each replication reproduces :func:`nas_experiment` for that seed
-    (identical scenario construction and RNG streams); the returned
-    :class:`~repro.experiments.sweep.SweepResult` carries per-metric
-    mean ± std summaries across the ensemble.  Thin wrapper: builds
-    the :func:`nas_spec` and executes it.
-    """
-    return run_spec(
-        nas_spec(seeds=seeds, scale=scale, settings=settings,
-                 defaults=defaults),
-        defaults=defaults,
-        max_workers=max_workers,
+
+def render_fig8(result: SweepResult) -> str:
+    """All four panels of the first seed's run as one metrics table."""
+    return render_table(
+        list(PerformanceReport.ROW_HEADERS),
+        [r.row() for r in nas_lineups(result)[0]],
+        title="Figure 8: NAS trace workload, all Section 4.1 metrics",
     )

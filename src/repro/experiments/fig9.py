@@ -11,15 +11,18 @@ This module only reshapes the Figure 8 reports — no new simulation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.fig8 import NASExperimentResult
+from repro.experiments.fig8 import nas_lineups
+from repro.experiments.runner import reports_by_name
+from repro.experiments.sweep import SweepResult
 from repro.metrics.report import PerformanceReport
 from repro.util.tables import render_table
 
-__all__ = ["UtilizationPanel", "utilization_panels"]
+__all__ = ["UtilizationPanel", "utilization_panels", "render_fig9"]
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,10 @@ def _panel(
 
 
 def utilization_panels(
-    result: NASExperimentResult,
+    lineup: Sequence[PerformanceReport],
 ) -> tuple[UtilizationPanel, UtilizationPanel, UtilizationPanel]:
-    """Build the three Figure 9 panels from a NAS experiment."""
-    by = result.by_name()
+    """Build the three Figure 9 panels from one seed's NAS lineup."""
+    by = reports_by_name(lineup)
 
     def pick(*fragments: str) -> list[PerformanceReport]:
         out = []
@@ -92,3 +95,10 @@ def utilization_panels(
         pick("Min-Min Risky", "Sufferage Risky", "STGA"),
     )
     return a, b, c
+
+
+def render_fig9(result: SweepResult) -> str:
+    """The three panels of the first seed's NAS run, each followed by
+    a blank line."""
+    panels = utilization_panels(nas_lineups(result)[0])
+    return "\n\n".join(panel.render() for panel in panels) + "\n"

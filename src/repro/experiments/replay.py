@@ -105,7 +105,6 @@ def record_cell(
         scenario=scenario,
         training=training,
         defaults=defaults,
-        ga_config=None,
     )
     result = simulate_scheduler(
         scenario, scheduler, cell_settings, record_attempts=True
@@ -139,7 +138,6 @@ def record_sweep(
     scale: float = 1.0,
     defaults: PaperDefaults = PaperDefaults(),
     lineup: Sequence[str] | None = None,
-    include_stga: bool = True,
 ) -> tuple[SweepResult, list[Path]]:
     """Record every cell of a sweep grid as one trace file each.
 
@@ -155,11 +153,7 @@ def record_sweep(
         raise ValueError("need at least one scenario variant")
     if not seeds:
         raise ValueError("need at least one replication seed")
-    refs = (
-        tuple(lineup)
-        if lineup is not None
-        else (PAPER_LINEUP if include_stga else PAPER_LINEUP[:-1])
-    )
+    refs = tuple(lineup) if lineup is not None else PAPER_LINEUP
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -9,7 +9,9 @@ for each — the repository's EXPERIMENTS.md is produced by::
 Each section names the paper artifact, states the paper's quantitative
 claim, shows the regenerated numbers, and verdicts the *shape* (our
 substrate is a simulator, not the 2005 testbed; absolute numbers are
-not comparable — see DESIGN.md §3-4).
+not comparable — see DESIGN.md §3-4).  Every figure section runs its
+spec builder over the seed ensemble through
+:func:`~repro.experiments.spec.run_spec`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,18 @@ import numpy as np
 
 from repro.experiments.ablation import stga_vs_conventional
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.fig7 import frisky_makespan_sweep, stga_iteration_sweep
-from repro.experiments.fig8 import NASExperimentResult, nas_experiment
+from repro.experiments.fig7 import (
+    converged_after,
+    frisky_series,
+    frisky_sweep_spec,
+    iteration_series,
+    stga_iteration_spec,
+)
+from repro.experiments.fig8 import nas_lineups, nas_spec
 from repro.experiments.fig9 import utilization_panels
-from repro.experiments.fig10 import psa_scaling_experiment
+from repro.experiments.fig10 import psa_scaling_spec, series
+from repro.experiments.spec import run_spec
+from repro.experiments.sweep import SweepResult
 from repro.experiments.table2 import PAPER_TABLE2, table2_rows
 
 __all__ = ["generate_report", "main"]
@@ -43,14 +53,18 @@ def _verdict(ok: bool, note: str) -> str:
 
 def _section_fig7a(settings: RunSettings, scale: float) -> str:
     fs = (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
+    res = run_spec(
+        frisky_sweep_spec(
+            f_values=fs, seeds=_SEEDS, scale=scale, settings=settings
+        ),
+        max_workers=1,
+    )
+    _, per_seed_mm, per_seed_sf = frisky_series(res)
     mm = np.zeros(len(fs))
     sf = np.zeros(len(fs))
-    for seed in _SEEDS:
-        res = frisky_makespan_sweep(
-            scale=scale, f_values=fs, settings=replace(settings, seed=seed)
-        )
-        mm += res.minmin_makespan / len(_SEEDS)
-        sf += res.sufferage_makespan / len(_SEEDS)
+    for seed_mm, seed_sf in zip(per_seed_mm, per_seed_sf):
+        mm += seed_mm / len(_SEEDS)
+        sf += seed_sf / len(_SEEDS)
     lines = ["| f | Min-Min f-Risky | Sufferage f-Risky |", "|---|---|---|"]
     for f, a, b in zip(fs, mm, sf):
         lines.append(f"| {f} | {a:.4g} | {b:.4g} |")
@@ -82,15 +96,20 @@ def _section_fig7a(settings: RunSettings, scale: float) -> str:
 
 
 def _section_fig7b(settings: RunSettings, scale: float) -> str:
-    cfg = replace(settings, ga=replace(settings.ga, stall_generations=None))
-    res = stga_iteration_sweep(
-        scale=scale, generations=(0, 10, 25, 50, 100, 150), settings=cfg
+    res = run_spec(
+        stga_iteration_spec(
+            generations=(0, 10, 25, 50, 100, 150),
+            scale=scale,
+            settings=settings,
+        ),
+        max_workers=1,
     )
+    generations, makespan = iteration_series(res)
     lines = ["| generations | STGA makespan |", "|---|---|"]
-    for g, m in zip(res.generations, res.makespan):
+    for g, m in zip(generations, makespan):
         lines.append(f"| {g} | {m:.4g} |")
-    by = dict(zip(res.generations.tolist(), res.makespan.tolist()))
-    ok = by[50] <= res.makespan.min() * 1.05
+    by = dict(zip(generations.tolist(), makespan.tolist()))
+    ok = by[50] <= makespan.min() * 1.05
     return "\n".join([
         "## Figure 7(b) — STGA makespan vs iteration budget (PSA, N=1000)",
         "",
@@ -100,7 +119,7 @@ def _section_fig7b(settings: RunSettings, scale: float) -> str:
         *lines,
         "",
         f"Measured: converged (1% tolerance) after "
-        f"~{res.converged_after()} generations.",
+        f"~{converged_after(res)} generations.",
         "",
         _verdict(ok, "the budget-50 makespan is within 5% of the grid "
                      "optimum and larger budgets buy nothing — the "
@@ -108,21 +127,15 @@ def _section_fig7b(settings: RunSettings, scale: float) -> str:
     ])
 
 
-def _nas_ensemble(settings: RunSettings, scale: float):
-    return [
-        nas_experiment(scale=scale, settings=replace(settings, seed=s))
-        for s in _SEEDS
-    ]
-
-
-def _mean(results: list[NASExperimentResult], name: str, metric: str):
+def _mean(results: SweepResult, name: str, metric: str):
+    variant = results.variants[0].name
     return float(
-        np.mean([getattr(r.by_name()[name], metric) for r in results])
+        np.mean([getattr(r, metric) for r in results.cell(variant, name)])
     )
 
 
-def _section_fig8(results) -> str:
-    names = [r.scheduler for r in results[0].reports]
+def _section_fig8(results: SweepResult) -> str:
+    names = results.schedulers()
     lines = [
         "| scheduler | makespan | avg response | slowdown | N_risk | N_fail |",
         "|---|---|---|---|---|---|",
@@ -180,8 +193,9 @@ def _section_fig8(results) -> str:
     ])
 
 
-def _section_fig9(results) -> str:
-    panels = utilization_panels(results[0])
+def _section_fig9(results: SweepResult) -> str:
+    lineups = nas_lineups(results)
+    panels = utilization_panels(lineups[0])
     out = ["## Figure 9 — per-site utilization (NAS)",
            "",
            "*Paper:* secure leaves 3/12 sites idle; f-risky 2/12; risky "
@@ -192,12 +206,12 @@ def _section_fig9(results) -> str:
         out.append("")
     idle_secure = np.mean([
         p.idle_sites(n)
-        for r in results
+        for r in lineups
         for p, pref in zip(utilization_panels(r)[:2], ("Min-Min", "Sufferage"))
         for n in (f"{pref} Secure",)
     ])
     idle_stga = np.mean([
-        utilization_panels(r)[2].idle_sites("STGA") for r in results
+        utilization_panels(r)[2].idle_sites("STGA") for r in lineups
     ])
     ok = idle_secure >= 1.0 and idle_stga < 0.5
     out.append(
@@ -210,12 +224,12 @@ def _section_fig9(results) -> str:
     return "\n".join(out)
 
 
-def _section_table2(results) -> str:
-    names = [r.scheduler for r in results[0].reports]
+def _section_table2(results: SweepResult) -> str:
+    names = results.schedulers()
     alpha = {n: [] for n in names}
     beta = {n: [] for n in names}
-    for r in results:
-        for row in table2_rows(r):
+    for lineup in nas_lineups(results):
+        for row in table2_rows(lineup):
             alpha[row.scheduler].append(row.alpha)
             beta[row.scheduler].append(row.beta)
     lines = [
@@ -252,18 +266,22 @@ def _section_table2(results) -> str:
 
 
 def _section_fig10(settings: RunSettings, scale: float) -> str:
-    results = [
-        psa_scaling_experiment(
+    res = run_spec(
+        psa_scaling_spec(
             n_values=(1000, 2000, 5000, 10000),
+            seeds=_SEEDS,
             scale=scale,
-            settings=replace(settings, seed=s),
-        )
-        for s in _SEEDS
-    ]
-    names = list(results[0].reports)
+            settings=settings,
+        ),
+        max_workers=1,
+    )
+    names = list(res.schedulers())
 
     def mean_series(name, metric):
-        return np.mean([r.series(name, metric) for r in results], axis=0)
+        return np.mean(
+            [series(res, name, metric, i) for i in range(len(_SEEDS))],
+            axis=0,
+        )
 
     out = ["## Figure 10 — PSA scaling (N = 1000...10000)",
            "",
@@ -281,7 +299,7 @@ def _section_fig10(settings: RunSettings, scale: float) -> str:
         out.append("")
         out.append("| N | " + " | ".join(names) + " |")
         out.append("|---|" + "---|" * len(names))
-        for i, n in enumerate(results[0].n_values):
+        for i, n in enumerate(v.n_jobs for v in res.variants):
             cells = " | ".join(
                 f"{mean_series(name, metric)[i]:.4g}" for name in names
             )
@@ -351,7 +369,10 @@ def generate_report(
         batch_interval=2000.0
     )
     defaults = PaperDefaults()
-    nas = _nas_ensemble(settings, scale)
+    nas = run_spec(
+        nas_spec(seeds=_SEEDS, scale=scale, settings=settings),
+        max_workers=1,
+    )
     header = "\n".join([
         "# EXPERIMENTS — paper vs measured",
         "",

@@ -5,7 +5,7 @@ The paper evaluates seven algorithms on identical event streams:
 Min-Min and Sufferage in secure / f-risky / risky mode, plus the STGA
 (trained on 500 warmup jobs scheduled by Min-Min).  ``run_lineup``
 reproduces exactly that protocol; individual pieces are exposed for
-the figure-specific drivers.
+the ablation studies.
 
 The lineup itself is *data*: :data:`PAPER_LINEUP` names seven
 scheduler-registry refs (see :mod:`repro.registry`), and
@@ -213,35 +213,25 @@ def run_lineup(
     settings: RunSettings = RunSettings(),
     *,
     defaults: PaperDefaults = PaperDefaults(),
-    ga_config: GAConfig | None = None,
-    include_stga: bool = True,
     lineup: Sequence[str] | None = None,
 ) -> list[PerformanceReport]:
     """Run a scheduler lineup on one scenario.
 
     ``lineup`` is a sequence of scheduler-registry refs (default: the
-    paper's seven-algorithm :data:`PAPER_LINEUP`, or its six
-    heuristics when ``include_stga=False``); every ref binds through
-    :func:`repro.registry.bind_scheduler` with the run's context
-    (scenario, training stream, paper defaults), so stateful entries
-    like the STGA need no special treatment here and every built
-    scheduler exposes the unified ``ScheduleFn`` call surface.
+    paper's seven-algorithm :data:`PAPER_LINEUP`); every ref binds
+    through :func:`repro.registry.bind_scheduler` with the run's
+    context (scenario, training stream, paper defaults), so stateful
+    entries like the STGA need no special treatment here and every
+    built scheduler exposes the unified ``ScheduleFn`` call surface.
+    GA-based entries take their GA configuration from
+    ``settings.ga``.
 
     Every scheduler sees the same scenario and the same engine failure
     stream seed, so differences are purely scheduling decisions.
     Returns reports in lineup order.
     """
-    refs = (
-        tuple(lineup)
-        if lineup is not None
-        else (PAPER_LINEUP if include_stga else PAPER_LINEUP[:-1])
-    )
-    context = dict(
-        scenario=scenario,
-        training=training,
-        defaults=defaults,
-        ga_config=ga_config,
-    )
+    refs = tuple(lineup) if lineup is not None else PAPER_LINEUP
+    context = dict(scenario=scenario, training=training, defaults=defaults)
     built = [
         bind_scheduler(ref, settings, RngFactory(settings.seed), **context)
         for ref in refs

@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.runner import run_scheduler, scale_jobs
+from repro.experiments.runner import run_scheduler
+from repro.experiments.sweep import ScenarioVariant
 from repro.heuristics.estimation import NoisyETCScheduler
 from repro.heuristics.minmin import MinMinScheduler
 from repro.heuristics.olb import OLBScheduler
 from repro.heuristics.sufferage import SufferageScheduler
 from repro.metrics.report import PerformanceReport
 from repro.util.rng import RngFactory
-from repro.workloads.psa import PSAConfig, psa_scenario
 
 __all__ = ["batch_interval_sweep", "estimation_error_sweep"]
 
@@ -34,8 +34,9 @@ def batch_interval_sweep(
     settings: RunSettings = RunSettings(),
 ) -> dict[float, PerformanceReport]:
     """Min-Min f-risky under different scheduling periods."""
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(PSAConfig(n_jobs=n), rng=settings.seed)
+    scenario, _ = ScenarioVariant(
+        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
+    ).build_scenarios(settings.seed, scale)
     out: dict[float, PerformanceReport] = {}
     for interval in intervals:
         s = replace(settings, batch_interval=float(interval))
@@ -58,8 +59,9 @@ def estimation_error_sweep(
     Returns ``{sigma: {scheduler: report}}``.  OLB ignores execution
     times, so its row is the noise-immune control.
     """
-    n = scale_jobs(n_jobs, scale)
-    scenario = psa_scenario(PSAConfig(n_jobs=n), rng=settings.seed)
+    scenario, _ = ScenarioVariant(
+        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
+    ).build_scenarios(settings.seed, scale)
     rngs = RngFactory(settings.seed)
     out: dict[float, dict[str, PerformanceReport]] = {}
     for sigma in sigmas:

@@ -12,14 +12,15 @@ for distributing replications across hosts.  Distribution itself is
 (variant, seed) grid into sub-specs (each again a plain spec file),
 and ``merge_runs`` recombines the partial run records bit-identically.
 
-The paper-figure drivers emit specs instead of hard-coding their
-lineups: :func:`repro.experiments.fig8.nas_spec`,
+Every paper figure is a spec builder:
+:func:`repro.experiments.fig8.nas_spec`,
 :func:`repro.experiments.fig10.psa_scaling_spec`,
 :func:`repro.experiments.fig7.frisky_sweep_spec` /
-:func:`~repro.experiments.fig7.stga_iteration_spec`, and
-:func:`repro.experiments.ablation.stga_ablation_spec`; ``repro-grid
-emit-spec fig8`` writes them from the CLI.  Running the fig8 spec at a
-seed reproduces the legacy ``repro-grid fig8`` reports bit for bit.
+:func:`~repro.experiments.fig7.stga_iteration_spec` (plus
+:func:`repro.experiments.ablation.stga_ablation_spec`); ``repro-grid
+emit-spec fig8`` writes them from the CLI, and ``repro-grid fig8``
+runs the same spec through :func:`run_spec` and prints the figure's
+renderer over the result.
 """
 
 from __future__ import annotations

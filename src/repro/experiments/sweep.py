@@ -13,10 +13,13 @@ Determinism contract
 A sweep run is *per-seed identical* to sequential
 :func:`~repro.experiments.runner.run_lineup` calls with the same
 :class:`~repro.util.rng.RngFactory` streams: each worker rebuilds its
-scenario from ``(variant, seed)`` exactly the way the figure drivers
-do (workload rng = seed, training rng = seed + 7919, engine/GA
-streams from ``RunSettings.seed = seed``), so the executor fan-out
-changes wall-clock time and nothing else.
+scenario from ``(variant, seed)`` through the workload registry
+(workload rng = seed, training rng = seed +
+:data:`~repro.workloads.base.TRAINING_SEED_OFFSET`, engine/GA streams
+from ``RunSettings.seed = seed``), so the executor fan-out changes
+wall-clock time and nothing else.  Every paper figure is such a sweep:
+its spec builder's :func:`~repro.experiments.spec.run_spec` result is
+what ``repro-grid figN`` renders.
 ``benchmarks/test_sweep_throughput.py`` asserts this.
 
 CLI
@@ -166,9 +169,9 @@ class ScenarioVariant:
     ) -> tuple[Scenario, Scenario | None]:
         """(scenario, training) for one replication.
 
-        Delegates to the variant's workload-registry entry, which
-        mirrors the figure drivers exactly: workload rng = ``seed``,
-        training rng = ``seed +
+        Delegates to the variant's workload-registry entry, the one
+        place scenarios are built: workload rng = ``seed``, training
+        rng = ``seed +
         :data:`~repro.workloads.base.TRAINING_SEED_OFFSET`\\ ``, job
         counts through :func:`~repro.workloads.base.scale_jobs`.
         """
@@ -184,7 +187,6 @@ class _SweepTask:
     scale: float
     settings: RunSettings
     defaults: PaperDefaults
-    include_stga: bool
     lineup: tuple[str, ...] | None = None
 
 
@@ -197,7 +199,6 @@ def _run_task(task: _SweepTask) -> list[PerformanceReport]:
         training,
         settings,
         defaults=task.defaults,
-        include_stga=task.include_stga,
         lineup=task.lineup,
     )
 
@@ -649,16 +650,14 @@ def run_sweep(
     settings: RunSettings = RunSettings(),
     scale: float = 1.0,
     defaults: PaperDefaults = PaperDefaults(),
-    include_stga: bool = True,
     lineup: Sequence[str] | None = None,
     max_workers: int | None = None,
 ) -> SweepResult:
     """Run the full (variant x seed) grid and aggregate the reports.
 
     Each grid point is one :func:`run_lineup` call — by default the
-    paper's lineup (optionally without the STGA), or any list of
-    scheduler-registry refs via ``lineup`` — on one freshly generated
-    scenario.  Grid points are independent, so they fan out over a
+    paper's lineup, or any list of scheduler-registry refs via
+    ``lineup`` — on one freshly generated scenario.  Grid points are independent, so they fan out over a
     process pool; ``max_workers=1`` runs them sequentially in-process
     with identical results.
     """
@@ -682,7 +681,6 @@ def run_sweep(
             scale=scale,
             settings=settings,
             defaults=defaults,
-            include_stga=include_stga,
             lineup=lineup,
         )
         for v in variants

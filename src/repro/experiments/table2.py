@@ -8,15 +8,17 @@ average response time.  The paper reports (NAS trace): secure ≈
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 
-from repro.experiments.fig8 import NASExperimentResult, nas_spec
+from repro.experiments.fig8 import nas_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.metrics.compare import (
     ComparisonRow,
     compare_to_reference,
     render_comparison,
 )
+from repro.metrics.report import PerformanceReport
 
 __all__ = ["table2_rows", "table2_spec", "render_table2", "PAPER_TABLE2"]
 
@@ -32,9 +34,9 @@ PAPER_TABLE2 = {
 }
 
 
-def table2_rows(result: NASExperimentResult) -> list[ComparisonRow]:
-    """Compute the measured Table 2 from a NAS experiment."""
-    return compare_to_reference(list(result.reports), reference="STGA")
+def table2_rows(lineup: Sequence[PerformanceReport]) -> list[ComparisonRow]:
+    """Compute the measured Table 2 from one seed's NAS lineup."""
+    return compare_to_reference(list(lineup), reference="STGA")
 
 
 def table2_spec(**kwargs) -> ExperimentSpec:
@@ -43,9 +45,9 @@ def table2_spec(**kwargs) -> ExperimentSpec:
     return replace(nas_spec(**kwargs), name="table2-nas")
 
 
-def render_table2(result: NASExperimentResult) -> str:
+def render_table2(lineup: Sequence[PerformanceReport]) -> str:
     """Measured table plus the paper's values for comparison."""
-    rows = table2_rows(result)
+    rows = table2_rows(lineup)
     measured = render_comparison(
         rows, title="Table 2 (measured): alpha/beta vs STGA, NAS workload"
     )

@@ -11,7 +11,7 @@ RNG streams, the engine consumes it, and the trace codec
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative, check_positive
 

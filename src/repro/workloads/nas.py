@@ -189,9 +189,10 @@ def _validate_nas_variant(variant) -> None:
 def _nas_variant_scenarios(variant, seed: int, scale: float = 1.0):
     """Build (scenario, training) for one sweep replication.
 
-    Replicates fig8's squeezed-horizon scaling — the trace-day count
-    shrinks with ``scale`` so arrival pressure per day is preserved —
-    and a 1-seed build reproduces ``nas_experiment()`` bit for bit.
+    The one place a NAS replication is built (Figures 8/9 and Table 2
+    run through it).  Scaling squeezes the horizon: the trace-day
+    count shrinks with ``scale`` so arrival pressure per day is
+    preserved.
     """
     n = scale_jobs(variant.n_jobs, scale)
     n_train = (

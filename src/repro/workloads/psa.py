@@ -118,8 +118,9 @@ def psa_scenario(
 def _psa_variant_scenarios(variant, seed: int, scale: float = 1.0):
     """Build (scenario, training) for one sweep replication.
 
-    Mirrors the figure drivers exactly: workload rng = ``seed``,
-    training rng = ``seed + TRAINING_SEED_OFFSET``, job counts through
+    The one place a PSA replication is built (figures, sweeps and the
+    ablation helpers all come here): workload rng = ``seed``, training
+    rng = ``seed + TRAINING_SEED_OFFSET``, job counts through
     :func:`~repro.workloads.base.scale_jobs`.  The training stream
     inherits the variant's overrides (same arrival intensity etc.) so
     the warm-up resembles the live workload; only the grid of the live

@@ -1,5 +1,10 @@
 """Tests for the EXPERIMENTS.md report generator (tiny scale)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import RunSettings
@@ -62,3 +67,26 @@ class TestMain:
 
     def test_invalid_scale(self, capsys):
         assert main(["--scale", "2.0"]) == 2
+
+    def test_module_runs_without_import_warning(self, tmp_path):
+        """``python -m repro.experiments.report`` must not find the
+        module already imported by its package (runpy warns then)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.report",
+                "--scale", "0.002", "-o", str(tmp_path / "EXP.md"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert (tmp_path / "EXP.md").read_text().startswith("# EXPERIMENTS")

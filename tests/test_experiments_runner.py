@@ -5,6 +5,7 @@ import pytest
 from repro.core.ga import GAConfig
 from repro.experiments.config import RunSettings
 from repro.experiments.runner import (
+    PAPER_LINEUP,
     make_trained_stga,
     reports_by_name,
     run_lineup,
@@ -76,9 +77,7 @@ class TestTrainedSTGA:
 
 class TestRunLineup:
     def test_seven_reports_in_order(self, tiny_scenario, tiny_training):
-        reports = run_lineup(
-            tiny_scenario, tiny_training, SETTINGS, ga_config=FAST_GA
-        )
+        reports = run_lineup(tiny_scenario, tiny_training, SETTINGS)
         names = [r.scheduler for r in reports]
         assert names == [
             "Min-Min Secure",
@@ -92,14 +91,12 @@ class TestRunLineup:
 
     def test_without_stga(self, tiny_scenario):
         reports = run_lineup(
-            tiny_scenario, None, SETTINGS, include_stga=False
+            tiny_scenario, None, SETTINGS, lineup=PAPER_LINEUP[:-1]
         )
         assert len(reports) == 6
 
     def test_secure_modes_never_fail(self, tiny_scenario, tiny_training):
-        reports = run_lineup(
-            tiny_scenario, tiny_training, SETTINGS, ga_config=FAST_GA
-        )
+        reports = run_lineup(tiny_scenario, tiny_training, SETTINGS)
         by = reports_by_name(reports)
         assert by["Min-Min Secure"].n_fail == 0
         assert by["Sufferage Secure"].n_fail == 0

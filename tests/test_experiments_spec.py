@@ -1,22 +1,29 @@
 """Tests for declarative experiment specs (repro.experiments.spec)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import FIGURES, main
 from repro.core.ga import GAConfig
 from repro.core.stga import StandardGAScheduler
 from repro.experiments import runner
 from repro.experiments.ablation import stga_ablation_spec
 from repro.experiments.config import PaperDefaults, RunSettings
 from repro.experiments.fig7 import (
-    frisky_makespan_sweep,
     frisky_sweep_spec,
+    iteration_series,
     stga_iteration_spec,
 )
-from repro.experiments.fig8 import nas_experiment, nas_spec
-from repro.experiments.fig10 import psa_scaling_spec
-from repro.experiments.runner import PAPER_LINEUP, reports_by_name
+from repro.experiments.fig8 import nas_spec
+from repro.experiments.fig10 import FIG10_LINEUP, psa_scaling_spec
+from repro.experiments.runner import (
+    PAPER_LINEUP,
+    reports_by_name,
+    run_lineup,
+    scale_jobs,
+)
 from repro.experiments.spec import (
     ExperimentSpec,
     load_spec,
@@ -25,6 +32,8 @@ from repro.experiments.spec import (
 )
 from repro.experiments.sweep import ScenarioVariant
 from repro.experiments.table2 import table2_spec
+from repro.workloads.base import TRAINING_SEED_OFFSET
+from repro.workloads.nas import NASConfig, nas_scenario
 
 FAST_GA = GAConfig(population_size=16, generations=8)
 FAST = RunSettings(seed=11, ga=FAST_GA)
@@ -149,6 +158,7 @@ class TestSpecBuilders:
     def test_fig10_spec_one_variant_per_n(self):
         spec = psa_scaling_spec(n_values=(100, 200), scale=0.01)
         assert [v.n_jobs for v in spec.variants] == [100, 200]
+        assert spec.schedulers == FIG10_LINEUP
 
     def test_ablation_spec_labels_stay_distinct(self):
         spec = stga_ablation_spec(scale=0.01)
@@ -189,35 +199,69 @@ def assert_reports_identical(a, b):
 
 
 class TestRunSpecEquivalence:
-    def test_fig8_spec_reproduces_legacy_driver_bit_for_bit(self):
-        """The acceptance criterion: running the fig8 builder's spec
-        yields the exact PerformanceReports of the legacy path."""
-        legacy = nas_experiment(scale=0.002, settings=FAST)
-        spec = nas_spec(scale=0.002, settings=FAST)
-        res = run_spec(spec, max_workers=1)
+    def test_fig8_spec_reproduces_hand_built_lineup_bit_for_bit(self):
+        """The fig8 spec's reports equal a lineup run on NAS scenarios
+        built straight from the generator: the squeezed trace horizon,
+        workload rng = seed, training rng = seed + TRAINING_SEED_OFFSET."""
+        scale = 0.002
+        base = NASConfig()
+        n = scale_jobs(base.n_jobs, scale)
+        n_train = scale_jobs(PaperDefaults().n_training_jobs, scale)
+        days = max(2, int(round(base.trace_days * scale)))
+        scenario = nas_scenario(
+            replace(base, n_jobs=n, trace_days=days), rng=FAST.seed
+        )
+        training = nas_scenario(
+            replace(
+                base,
+                n_jobs=n_train,
+                trace_days=max(1, int(round(days * n_train / n))),
+            ),
+            rng=FAST.seed + TRAINING_SEED_OFFSET,
+        )
+        direct = reports_by_name(run_lineup(scenario, training, FAST))
 
+        spec = nas_spec(scale=scale, settings=FAST)
+        res = run_spec(spec, max_workers=1)
         variant = spec.variants[0].name
-        by_name = reports_by_name(legacy.reports)
-        assert tuple(res.schedulers()) == tuple(by_name)
-        for sched, legacy_rep in by_name.items():
+        assert tuple(res.schedulers()) == tuple(direct)
+        for sched, direct_rep in direct.items():
             (spec_rep,) = res.cell(variant, sched)
-            assert_reports_identical(spec_rep, legacy_rep)
+            assert_reports_identical(spec_rep, direct_rep)
 
-    def test_fig7a_spec_reproduces_legacy_makespans(self):
-        f_values = (0.0, 0.5, 1.0)
-        legacy = frisky_makespan_sweep(
-            n_jobs=100, scale=0.25, f_values=f_values, settings=FAST
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_figure_command_prints_its_emitted_spec_run(
+        self, figure, tmp_path, capsys
+    ):
+        """``repro-grid figN`` prints exactly the rendering of the spec
+        ``emit-spec figN`` writes, run through ``run_spec``."""
+        path = tmp_path / "spec.json"
+        argv = ["--scale", "0.002", "--seed", "7"]
+        assert main(["emit-spec", figure, *argv, "--out", str(path)]) == 0
+        assert main([figure, *argv]) == 0
+        printed = capsys.readouterr().out.split("\n", 1)[1]
+        render = FIGURES[figure][1]
+        result = run_spec(load_spec(path), max_workers=1)
+        assert printed == render(result) + "\n"
+
+    def test_emitted_fig7b_spec_carries_table1_ga(self, tmp_path, capsys):
+        """``emit-spec fig7b`` ships Table 1's GA, and running it gives
+        the makespans ``repro-grid fig7b`` prints."""
+        path = tmp_path / "fig7b.json"
+        argv = ["--scale", "0.002", "--seed", "11"]
+        assert main(["emit-spec", "fig7b", *argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        spec = load_spec(path)
+        assert spec.settings.ga == PaperDefaults().ga_config()
+
+        generations, makespan = iteration_series(
+            run_spec(spec, max_workers=1)
         )
-        spec = frisky_sweep_spec(
-            n_jobs=100, f_values=f_values, scale=0.25, settings=FAST
-        )
-        res = run_spec(spec, max_workers=1)
-        variant = spec.variants[0].name
-        for i, f in enumerate(f_values):
-            (mm,) = res.cell(variant, f"Min-Min f-Risky(f={f:g})")
-            (sf,) = res.cell(variant, f"Sufferage f-Risky(f={f:g})")
-            assert mm.makespan == legacy.minmin_makespan[i]
-            assert sf.makespan == legacy.sufferage_makespan[i]
+        assert main(["fig7b", *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:3 + len(generations)]
+        printed = [float(row.split()[1]) for row in rows]
+        assert [int(row.split()[0]) for row in rows] == generations.tolist()
+        assert printed == pytest.approx(makespan.tolist(), rel=5e-4)
 
 
 class TestRunSpec:

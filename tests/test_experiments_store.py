@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.ga import GAConfig
 from repro.experiments.config import RunSettings
+from repro.experiments.runner import PAPER_LINEUP
 from repro.experiments.store import (
     SCHEMA_VERSION,
     StoredRun,
@@ -53,7 +54,7 @@ def sweep_result():
         (1, 2),
         settings=TINY,
         scale=0.1,
-        include_stga=False,
+        lineup=PAPER_LINEUP[:-1],
         max_workers=1,
     )
 

@@ -14,10 +14,15 @@ import pytest
 
 from repro.core.ga import GAConfig
 from repro.experiments.config import RunSettings
-from repro.experiments.fig7 import frisky_makespan_sweep
-from repro.experiments.fig8 import nas_ensemble, nas_experiment
-from repro.experiments.fig10 import psa_scaling_ensemble
-from repro.experiments.runner import run_lineup, scale_jobs
+from repro.experiments.fig7 import (
+    frisky_series,
+    frisky_sweep_spec,
+    render_fig7a,
+)
+from repro.experiments.fig8 import nas_spec
+from repro.experiments.fig10 import psa_scaling_spec
+from repro.experiments.runner import PAPER_LINEUP, run_lineup, scale_jobs
+from repro.experiments.spec import run_spec
 from repro.experiments.sweep import (
     SWEEP_METRICS,
     MetricSummary,
@@ -257,7 +262,7 @@ class TestRunSweep:
 
         res = tiny_sweep(
             [ScenarioVariant(name="x", n_jobs=60, n_training_jobs=0)],
-            include_stga=False,
+            lineup=PAPER_LINEUP[:-1],
             defaults=PaperDefaults(f_risky=0.3),
         )
         assert "Min-Min f-Risky(f=0.3)" in res.schedulers()
@@ -265,14 +270,14 @@ class TestRunSweep:
     def test_without_stga(self):
         res = tiny_sweep(
             [ScenarioVariant(name="x", n_jobs=60, n_training_jobs=0)],
-            include_stga=False,
+            lineup=PAPER_LINEUP[:-1],
         )
         assert "STGA" not in res.schedulers()
 
     def test_render_contains_error_bars(self):
         res = tiny_sweep(
             [ScenarioVariant(name="tiny", n_jobs=60, n_training_jobs=0)],
-            include_stga=False,
+            lineup=PAPER_LINEUP[:-1],
         )
         out = res.render("makespan")
         assert "tiny" in out and "±" in out
@@ -282,7 +287,7 @@ class TestRunSweep:
     def test_per_seed_lineups_shape(self):
         res = tiny_sweep(
             [ScenarioVariant(name="x", n_jobs=60, n_training_jobs=0)],
-            include_stga=False,
+            lineup=PAPER_LINEUP[:-1],
         )
         lineups = res.per_seed_lineups("x")
         assert len(lineups) == 2  # one list per seed
@@ -294,7 +299,7 @@ class TestRunSweep:
     def test_unknown_metric_raises(self):
         res = tiny_sweep(
             [ScenarioVariant(name="x", n_jobs=60, n_training_jobs=0)],
-            include_stga=False,
+            lineup=PAPER_LINEUP[:-1],
         )
         with pytest.raises(AttributeError):
             res.summary("x", res.schedulers()[0], "not_a_metric")
@@ -317,59 +322,68 @@ class TestParallelMap:
         assert parallel_map(abs, [], max_workers=4) == []
 
 
-class TestFigureDriverWiring:
-    def test_fig7a_error_bars(self):
-        res = frisky_makespan_sweep(
+def _fig7a(seeds=None, f_values=(0.0, 0.5, 1.0), settings=TINY):
+    return run_spec(
+        frisky_sweep_spec(
             n_jobs=60,
             scale=0.1,
-            f_values=(0.0, 0.5, 1.0),
-            settings=TINY,
-            seeds=(1, 2),
-            max_workers=1,
-        )
-        assert res.n_seeds == 2
-        assert res.minmin_std is not None and res.minmin_std.shape == (3,)
-        assert (res.minmin_std >= 0).all()
-        assert "±" in res.render() and "2 seeds" in res.render()
+            f_values=f_values,
+            settings=settings,
+            seeds=seeds,
+        ),
+        max_workers=1,
+    )
+
+
+class TestFigureDriverWiring:
+    def test_fig7a_error_bars(self):
+        res = _fig7a(seeds=(1, 2))
+        _, mm, _ = frisky_series(res)
+        assert mm.shape == (2, 3)
+        out = render_fig7a(res)
+        assert "±" in out and "2 seeds" in out
 
     def test_fig7a_single_seed_unchanged(self):
-        res = frisky_makespan_sweep(
-            n_jobs=60, scale=0.1, f_values=(0.0, 1.0), settings=TINY
-        )
-        assert res.minmin_std is None and "±" not in res.render()
+        res = _fig7a(f_values=(0.0, 1.0))
+        assert frisky_series(res)[1].shape == (1, 2)
+        assert "±" not in render_fig7a(res)
 
     def test_fig7a_mean_matches_manual_average(self):
-        kw = dict(n_jobs=60, scale=0.1, f_values=(0.0, 1.0), settings=TINY)
         per_seed = [
-            frisky_makespan_sweep(
-                **{**kw, "settings": replace(TINY, seed=s)}
-            ).minmin_makespan
+            frisky_series(
+                _fig7a(f_values=(0.0, 1.0), settings=replace(TINY, seed=s))
+            )[1][0]
             for s in (1, 2)
         ]
-        ens = frisky_makespan_sweep(**kw, seeds=(1, 2), max_workers=1)
+        ens = frisky_series(_fig7a(seeds=(1, 2), f_values=(0.0, 1.0)))[1]
         np.testing.assert_allclose(
-            ens.minmin_makespan, np.mean(per_seed, axis=0)
+            ens.mean(axis=0), np.mean(per_seed, axis=0)
         )
 
     def test_nas_ensemble_matches_nas_experiment_per_seed(self):
+        """A multi-seed NAS spec run holds, per seed, the reports of
+        that seed's single-seed run."""
         seeds = (1, 2)
-        res = nas_ensemble(seeds, scale=0.002, settings=TINY, max_workers=1)
+        res = run_spec(
+            nas_spec(seeds=seeds, scale=0.002, settings=TINY), max_workers=1
+        )
         vname = res.variants[0].name
         for i, seed in enumerate(seeds):
-            direct = nas_experiment(
-                scale=0.002, settings=replace(TINY, seed=seed)
+            direct = run_spec(
+                nas_spec(scale=0.002, settings=replace(TINY, seed=seed)),
+                max_workers=1,
             )
-            for rep in direct.reports:
-                got = res.cell(vname, rep.scheduler)[i]
+            for sched in direct.schedulers():
+                (rep,) = direct.cell(vname, sched)
+                got = res.cell(vname, sched)[i]
                 assert got.makespan == rep.makespan
                 assert got.n_fail == rep.n_fail
 
     def test_psa_scaling_ensemble_variants(self):
-        res = psa_scaling_ensemble(
-            (1, 2),
-            n_values=(60, 120),
-            scale=0.1,
-            settings=TINY,
+        res = run_spec(
+            psa_scaling_spec(
+                n_values=(60, 120), seeds=(1, 2), scale=0.1, settings=TINY
+            ),
             max_workers=1,
         )
         assert [v.n_jobs for v in res.variants] == [60, 120]

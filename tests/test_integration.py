@@ -13,7 +13,6 @@ from repro.experiments.runner import PAPER_LINEUP, run_scheduler
 from repro.grid.engine import GridSimulator
 from repro.heuristics.minmin import MinMinScheduler
 from repro.heuristics.sufferage import SufferageScheduler
-from repro.metrics.report import evaluate
 from repro.registry import build_scheduler
 from repro.workloads.nas import NASConfig, nas_scenario
 from repro.workloads.psa import PSAConfig, psa_scenario

@@ -8,6 +8,7 @@ from repro.experiments.runner import PAPER_LINEUP, run_lineup
 from repro.heuristics.base import BatchScheduler
 from repro.heuristics.factory import make_heuristic
 from repro.registry import (
+    _LabeledScheduler,
     available_schedulers,
     available_workloads,
     build_scheduler,
@@ -19,7 +20,6 @@ from repro.registry import (
     unregister_workload,
     workload_spec,
 )
-from repro.util.rng import RngFactory
 from repro.workloads.psa import PSAConfig, psa_scenario
 
 SETTINGS = RunSettings(seed=5)
@@ -170,6 +170,31 @@ class TestBuildScheduler:
             assert sched.schedule is not None  # delegation intact
         finally:
             unregister_scheduler("test-fixed-name")
+
+    def test_label_wrapper_delegates_schedule_and_attributes(
+        self, batch_factory
+    ):
+        inner = _FixedScheduler()
+        inner.marker = object()
+
+        @register_scheduler("test-fixed-delegate")
+        def _build(settings, rng, **_):
+            return inner
+
+        try:
+            sched = build_scheduler(
+                "test-fixed-delegate?label=renamed", SETTINGS
+            )
+        finally:
+            unregister_scheduler("test-fixed-delegate")
+        assert isinstance(sched, _LabeledScheduler)
+        assert sched.marker is inner.marker  # __getattr__ reaches inner
+        batch = batch_factory([4.0, 2.0, 1.0])
+        result = sched.schedule(batch)
+        np.testing.assert_array_equal(
+            result.assignment, inner.schedule(batch).assignment
+        )
+        np.testing.assert_array_equal(result.assignment, [0, 0, 0])
 
     def test_stga_requires_scenario_context(self):
         with pytest.raises(ValueError, match="scenario"):

@@ -438,6 +438,12 @@ class TestEndToEnd:
         # and the runs endpoint serves the same bytes by ref
         assert client.run_payload(finished_job["run_ref"]) == text
 
+    def test_result_parses_the_stored_payload(self, service, finished_job):
+        client, db = service
+        with SqliteRunStore(db) as store:
+            stored = json.loads(store.payload(finished_job["run_ref"]))
+        assert client.result(finished_job["id"]) == stored
+
     def test_store_visible_through_runs_endpoint(
         self, service, finished_job
     ):
