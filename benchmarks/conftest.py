@@ -73,6 +73,14 @@ def ensemble_mean(result, name, metric):
     return float(np.mean([getattr(r, metric) for r in reports]))
 
 
+def first_seed_lineups(result):
+    """``{variant name: reports in ref order}`` at a spec run's first
+    seed — the shape of the one-seed ablation and sensitivity specs."""
+    return {
+        v.name: result.per_seed_lineups(v.name)[0] for v in result.variants
+    }
+
+
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an expensive experiment exactly once under pytest-benchmark.
 

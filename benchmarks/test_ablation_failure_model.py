@@ -10,26 +10,24 @@ unspecified; DESIGN.md §3).
   rework trades failures against makespan.
 """
 
-import numpy as np
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import first_seed_lineups, run_once
 from repro.experiments.ablation import (
-    failure_point_comparison,
-    lambda_sensitivity,
-    risk_penalty_sweep,
+    failure_point_spec,
+    lambda_spec,
+    risk_penalty_spec,
 )
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 
 def test_lambda_sensitivity(benchmark, settings, scale):
-    out = run_once(
-        benchmark,
-        lambda_sensitivity,
-        lams=(1.0, 3.0, 6.0, 12.0),
-        n_jobs=1000,
-        scale=scale,
-        settings=settings,
-    )
+    lams = (1.0, 3.0, 6.0, 12.0)
+    spec = lambda_spec(lams, n_jobs=1000, scale=scale, settings=settings)
+    res = run_once(benchmark, run_spec, spec, max_workers=1)
+    out = {
+        lam: dict(zip(("risky", "secure"), reports))
+        for lam, reports in zip(lams, first_seed_lineups(res).values())
+    }
     print()
     rows = []
     for lam, pair in out.items():
@@ -58,13 +56,23 @@ def test_lambda_sensitivity(benchmark, settings, scale):
 
 
 def test_failure_point(benchmark, settings, scale):
-    out = run_once(
-        benchmark,
-        failure_point_comparison,
-        n_jobs=1000,
-        scale=scale,
-        settings=settings,
-    )
+    def both_points():
+        # the fail-stop point is a RunSettings field: one spec per point
+        return {
+            point: run_spec(
+                failure_point_spec(
+                    point, n_jobs=1000, scale=scale, settings=settings
+                ),
+                max_workers=1,
+            )
+            for point in ("uniform", "end")
+        }
+
+    out = {
+        point: report
+        for point, res in run_once(benchmark, both_points).items()
+        for [report] in first_seed_lineups(res).values()
+    }
     print()
     print(render_table(
         ["failure point", "makespan", "avg_response", "N_fail"],
@@ -76,14 +84,13 @@ def test_failure_point(benchmark, settings, scale):
 
 
 def test_risk_penalty(benchmark, settings, scale):
-    out = run_once(
-        benchmark,
-        risk_penalty_sweep,
-        penalties=(0.0, 1.0, 4.0),
-        n_jobs=1000,
-        scale=scale,
-        settings=settings,
+    penalties = (0.0, 1.0, 4.0)
+    spec = risk_penalty_spec(
+        penalties, n_jobs=1000, scale=scale, settings=settings
     )
+    res = run_once(benchmark, run_spec, spec, max_workers=1)
+    [reports] = first_seed_lineups(res).values()
+    out = dict(zip(penalties, reports))
     print()
     print(render_table(
         ["penalty", "makespan", "N_risk", "N_fail"],

@@ -8,24 +8,24 @@ These are extensions beyond the paper's figures; we print the sweeps
 and assert only the mechanically-guaranteed monotonicity (hit rates).
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import first_seed_lineups, run_once
 from repro.experiments.ablation import (
-    eviction_comparison,
-    lookup_capacity_sweep,
+    eviction_spec,
+    lookup_capacity_spec,
     threshold_sweep,
 )
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 
 def test_lookup_capacity_sweep(benchmark, settings, scale):
-    out = run_once(
-        benchmark,
-        lookup_capacity_sweep,
-        capacities=(10, 50, 150),
-        n_jobs=1000,
-        scale=scale,
-        settings=settings,
+    capacities = (10, 50, 150)
+    spec = lookup_capacity_spec(
+        capacities, n_jobs=1000, scale=scale, settings=settings
     )
+    res = run_once(benchmark, run_spec, spec, max_workers=1)
+    [reports] = first_seed_lineups(res).values()
+    out = dict(zip(capacities, reports))
     print()
     print(render_table(
         ["capacity", "makespan", "avg_response"],
@@ -56,13 +56,10 @@ def test_threshold_sweep(benchmark, settings, scale):
 
 
 def test_eviction_comparison(benchmark, settings, scale):
-    out = run_once(
-        benchmark,
-        eviction_comparison,
-        n_jobs=1000,
-        scale=scale,
-        settings=settings,
-    )
+    spec = eviction_spec(n_jobs=1000, scale=scale, settings=settings)
+    res = run_once(benchmark, run_spec, spec, max_workers=1)
+    [reports] = first_seed_lineups(res).values()
+    out = dict(zip(("lru", "fifo"), reports))
     print()
     print(render_table(
         ["policy", "makespan", "avg_response"],

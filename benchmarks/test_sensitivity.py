@@ -11,23 +11,27 @@
 
 import numpy as np
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import first_seed_lineups, run_once
 from repro.experiments.sensitivity import (
-    batch_interval_sweep,
+    batch_interval_spec,
     estimation_error_sweep,
 )
+from repro.experiments.spec import run_spec
 from repro.util.tables import render_table
 
 
 def test_batch_interval(benchmark, settings, scale):
-    out = run_once(
-        benchmark,
-        batch_interval_sweep,
-        intervals=(250.0, 1000.0, 4000.0, 16000.0),
-        n_jobs=1000,
-        scale=scale,
-        settings=settings,
+    intervals = (250.0, 1000.0, 4000.0, 16000.0)
+    spec = batch_interval_spec(
+        intervals, n_jobs=1000, scale=scale, settings=settings
     )
+    res = run_once(benchmark, run_spec, spec, max_workers=1)
+    out = {
+        interval: report
+        for interval, [report] in zip(
+            intervals, first_seed_lineups(res).values()
+        )
+    }
     print()
     print(render_table(
         ["interval (s)", "makespan", "avg_response", "batches",

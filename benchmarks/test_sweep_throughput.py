@@ -3,7 +3,7 @@
 The acceptance contract of the sweep subsystem: a >= 3-seed sweep
 produces per-seed reports (and therefore mean ± std summaries)
 *identical* to sequential ``run_lineup`` calls driven by the same
-``RngFactory`` streams — the ProcessPoolExecutor fan-out changes
+``RngFactory`` streams — ``run_spec``'s process-pool fan-out changes
 wall-clock time only.  The bench checks that for both the sequential
 in-process fallback (``max_workers=1``) and a real 2-worker pool, and
 prints the achieved replication throughput.
@@ -16,11 +16,11 @@ import numpy as np
 
 from repro.core.ga import GAConfig
 from repro.experiments.config import RunSettings
-from repro.experiments.runner import run_lineup, scale_jobs
+from repro.experiments.runner import PAPER_LINEUP, run_lineup, scale_jobs
+from repro.experiments.spec import ExperimentSpec, run_spec
 from repro.experiments.sweep import (
     SWEEP_METRICS,
     job_scaling_variants,
-    run_sweep,
     seed_list,
 )
 from repro.util.stats import t_critical
@@ -49,6 +49,19 @@ def sequential_reference():
         )
     return per_seed
 
+
+def sweep_spec(n_values):
+    """The paper lineup over one PSA variant per N, at ``SEEDS``."""
+    return ExperimentSpec(
+        name="sweep-throughput",
+        schedulers=PAPER_LINEUP,
+        variants=job_scaling_variants(n_values, n_training_jobs=N_TRAIN),
+        seeds=SEEDS,
+        scale=SCALE,
+        settings=SETTINGS,
+    )
+
+
 def _assert_cells_match(sweep_result, reference_per_seed):
     vname = sweep_result.variants[0].name
     for i, reports in enumerate(reference_per_seed):
@@ -62,26 +75,22 @@ def _assert_cells_match(sweep_result, reference_per_seed):
 
 
 def test_sweep_per_seed_identical_to_sequential_lineups():
-    variants = job_scaling_variants([N_JOBS], n_training_jobs=N_TRAIN)
+    spec = sweep_spec([N_JOBS])
     reference = sequential_reference()
 
     t0 = time.perf_counter()
-    seq = run_sweep(
-        variants, SEEDS, settings=SETTINGS, scale=SCALE, max_workers=1
-    )
+    seq = run_spec(spec, max_workers=1)
     seq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    par = run_sweep(
-        variants, SEEDS, settings=SETTINGS, scale=SCALE, max_workers=2
-    )
+    par = run_spec(spec, max_workers=2)
     par_s = time.perf_counter() - t0
 
     _assert_cells_match(seq, reference)
     _assert_cells_match(par, reference)
 
     # mean/std summaries therefore agree bit for bit as well
-    vname = variants[0].name
+    vname = spec.variants[0].name
     for sched in seq.schedulers():
         for metric in SWEEP_METRICS:
             a = seq.summary(vname, sched, metric)
@@ -101,10 +110,9 @@ def test_sweep_per_seed_identical_to_sequential_lineups():
 def test_sweep_summaries_are_finite_and_ordered():
     """Sanity on the aggregation itself at >= 3 seeds."""
     # sizes chosen so scale_jobs' 20-job floor keeps them distinct
-    variants = job_scaling_variants([200, 600], n_training_jobs=N_TRAIN)
-    res = run_sweep(
-        variants, SEEDS, settings=SETTINGS, scale=SCALE, max_workers=1
-    )
+    spec = sweep_spec([200, 600])
+    variants = spec.variants
+    res = run_spec(spec, max_workers=1)
     for v in variants:
         for sched in res.schedulers():
             s = res.summary(v.name, sched, "makespan")

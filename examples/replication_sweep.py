@@ -2,8 +2,9 @@
 """Replication sweep: paper results with error bars.
 
 The paper (and the seed reproduction) reports every number from a
-single seed.  This example re-runs the headline comparisons as an
-N-seed x M-variant sweep fanned out over a process pool, then prints
+single seed.  This example re-runs the headline comparisons as
+N-seed x M-variant specs that ``run_spec`` fans out over a process
+pool, then prints
 
 1. the Figure 10 job-count scaling panels as mean ± std series,
 2. Table 2 (alpha/beta vs STGA) aggregated over the seed ensemble,
@@ -23,18 +24,15 @@ import sys
 
 from repro.experiments.config import RunSettings
 from repro.experiments.fig7 import frisky_sweep_spec, render_fig7a
-from repro.experiments.spec import run_spec
+from repro.experiments.runner import PAPER_LINEUP
+from repro.experiments.spec import ExperimentSpec, run_spec
 from repro.experiments.store import (
     compare_runs,
     list_runs,
     load_run,
     save_run_to_registry,
 )
-from repro.experiments.sweep import (
-    job_scaling_variants,
-    run_sweep,
-    seed_list,
-)
+from repro.experiments.sweep import job_scaling_variants, seed_list
 from repro.metrics.compare import (
     compare_ensemble,
     render_ensemble_comparison,
@@ -49,13 +47,15 @@ def main(
     seeds = seed_list(n_seeds, base_seed=settings.seed)
 
     print(f"=== Figure 10 with error bars ({n_seeds} seeds) ===")
-    result = run_sweep(
-        job_scaling_variants([1000, 2000, 5000]),
-        seeds,
-        settings=settings,
+    fig10 = ExperimentSpec(
+        name="fig10-demo",
+        schedulers=PAPER_LINEUP,
+        variants=job_scaling_variants([1000, 2000, 5000]),
+        seeds=seeds,
         scale=scale,
-        max_workers=max_workers,
+        settings=settings,
     )
+    result = run_spec(fig10, max_workers=max_workers)
     for metric in ("makespan", "avg_response_time", "slowdown_ratio",
                    "n_fail"):
         print(result.render(metric))

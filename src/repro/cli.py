@@ -17,6 +17,7 @@ Examples
     repro-grid replay traces/ --out runs/replayed
     repro-grid emit-spec fig8 --scale 0.05 --out fig8.json
     repro-grid run fig8.json --out runs/fig8
+    repro-grid run fig8.json --record-traces traces/fig8 --max-workers 2
     repro-grid shard fig8.json --shards 4 --out-dir shards/
     repro-grid run fig8.json --shard-index 1 --num-shards 4 --out runs/p1
     repro-grid merge runs/p0 runs/p1 --spec fig8.json --out runs/fig8
@@ -62,8 +63,9 @@ than ``--threshold`` percent (the CI regression gate).
 Dynamic scenarios travel inside workload refs: ``--sweep-workload
 "psa?dynamics=poisson&breakdown=0.01&online=true"`` layers arrival
 redraw, breakdowns and online rescheduling onto the generator (see
-``docs/SCENARIOS.md``).  ``sweep --record-traces DIR`` records every
-(variant, seed, scheduler) cell as a replayable grid trace, and
+``docs/SCENARIOS.md``).  ``run --record-traces DIR`` and ``sweep
+--record-traces DIR`` record every (variant, seed, scheduler) cell as
+a replayable grid trace (through the same process pool), and
 ``replay`` re-executes traces, verifying the re-run is bit-identical to
 the recording; with ``--out`` the replayed cells persist as a run
 record, so ``compare-runs --fail-on-regression --threshold 0`` can gate
@@ -143,10 +145,11 @@ from repro.experiments.store import (
 )
 from repro.service.client import SERVICE_URL_ENV
 from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
-from repro.experiments.replay import record_sweep, replay_result, replay_trace
+from repro.experiments.replay import replay_result, replay_trace
+from repro.experiments.runner import PAPER_LINEUP
 from repro.experiments.sweep import (
+    SweepResult,
     job_scaling_variants,
-    run_sweep,
     seed_list,
 )
 from repro.experiments.table2 import render_table2, table2_spec
@@ -210,6 +213,19 @@ def _add_store(parser: argparse.ArgumentParser, help_: str) -> None:
         default=None,
         metavar="URI",
         help=f"{help_} (fs:DIR or sqlite:FILE; see docs/STORE.md)",
+    )
+
+
+def _add_record_traces(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--record-traces",
+        type=str,
+        default=None,
+        metavar="DIR",
+        help=(
+            "record every (variant, seed, scheduler) cell as a replayable "
+            "grid trace under DIR (see 'replay')"
+        ),
     )
 
 
@@ -285,17 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store(
         sweep, "persist the sweep into this run store instead of --out"
     )
-    sweep.add_argument(
-        "--record-traces",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help=(
-            "record every (variant, seed, scheduler) cell as a replayable "
-            "grid trace under DIR (forces sequential execution; see "
-            "'replay')"
-        ),
-    )
+    _add_record_traces(sweep)
 
     rpl = sub.add_parser(
         "replay",
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TRACE",
         help=(
             "trace files (.jsonl) or directories of traces recorded by "
-            "'sweep --record-traces'"
+            "'run --record-traces' or 'sweep --record-traces'"
         ),
     )
     rpl.add_argument(
@@ -347,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store(
         run, "persist the result into this run store instead of --out"
     )
+    _add_record_traces(run)
     run.add_argument(
         "--shard-index",
         type=int,
@@ -849,6 +856,46 @@ def _cmd_compare_runs(args: argparse.Namespace) -> int:
     return 1
 
 
+def _run_and_save(
+    spec: ExperimentSpec,
+    args: argparse.Namespace,
+    render,
+    *,
+    out_name: str | None,
+) -> int:
+    """Execute ``spec`` through ``run_spec`` for ``run`` and ``sweep``:
+    record traces (``--record-traces``), print ``render(result)``'s
+    tables a blank line apart, and persist the run (``--out`` under
+    ``out_name``, the directory's base name when None; ``--store``
+    under the spec's name)."""
+    try:
+        res = run_spec(
+            spec,
+            max_workers=args.max_workers,
+            record_traces=args.record_traces,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        # e.g. two refs resolving to one report name, or a ref param
+        # colliding with a factory-fixed keyword
+        print(f"spec {spec.name!r} failed: {exc}", file=sys.stderr)
+        return 2
+    if args.record_traces:
+        n_cells = len(spec.variants) * len(spec.seeds) * len(spec.schedulers)
+        print(f"recorded {n_cells} trace(s) under {args.record_traces}\n")
+    print("\n\n".join(render(res)))
+    if args.out:
+        run_dir = save_run(res, args.out, name=out_name, overwrite=True)
+        print(f"\nsaved run record to {run_dir}")
+    elif args.store:
+        store = _open_store_arg(args.store)
+        if store is None:
+            return 2
+        with store:
+            stored = store.save(res, name=spec.name)
+        print(f"\nsaved run record {stored.ref} to {store.uri}")
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not _check_scale(args):
         return 2
@@ -885,52 +932,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"--sweep-workload: {exc}", file=sys.stderr)
         return 2
-    seeds = seed_list(args.sweep_seeds, base_seed=args.seed)
-    if args.record_traces:
-        if args.max_workers not in (None, 1):
-            print(
-                "note: --record-traces runs sequentially; "
-                "--max-workers ignored"
+    spec = ExperimentSpec(
+        name="sweep",
+        schedulers=PAPER_LINEUP,
+        variants=variants,
+        seeds=seed_list(args.sweep_seeds, base_seed=args.seed),
+        scale=args.scale,
+        settings=_settings(args),
+    )
+
+    def render(res: SweepResult) -> list[str]:
+        metrics = ("makespan", "avg_response_time", "slowdown_ratio", "n_fail")
+        last = res.variants[-1].name
+        rows = compare_ensemble(res.per_seed_lineups(last))
+        return [res.render(metric) for metric in metrics] + [
+            render_ensemble_comparison(
+                rows, title=f"Table 2 over the sweep ensemble ({last})"
             )
-        res, trace_paths = record_sweep(
-            variants,
-            seeds,
-            args.record_traces,
-            settings=_settings(args),
-            scale=args.scale,
-        )
-        print(
-            f"recorded {len(trace_paths)} trace(s) under "
-            f"{args.record_traces}\n"
-        )
-    else:
-        res = run_sweep(
-            variants,
-            seeds,
-            settings=_settings(args),
-            scale=args.scale,
-            max_workers=args.max_workers,
-        )
-    for metric in ("makespan", "avg_response_time", "slowdown_ratio",
-                   "n_fail"):
-        print(res.render(metric))
-        print()
-    last = res.variants[-1].name
-    rows = compare_ensemble(res.per_seed_lineups(last))
-    print(render_ensemble_comparison(
-        rows, title=f"Table 2 over the sweep ensemble ({last})"
-    ))
-    if args.out:
-        run_dir = save_run(res, args.out, overwrite=True)
-        print(f"\nsaved run record to {run_dir}")
-    elif args.store:
-        store = _open_store_arg(args.store)
-        if store is None:
-            return 2
-        with store:
-            stored = store.save(res, name="sweep")
-        print(f"\nsaved run record {stored.ref} to {store.uri}")
-    return 0
+        ]
+
+    return _run_and_save(spec, args, render, out_name=None)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -1059,27 +1080,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{len(spec.variants)} variant(s) x {len(spec.seeds)} seed(s) "
         f"at scale {spec.scale:g}"
     )
-    try:
-        res = run_spec(spec, max_workers=args.max_workers)
-    except (ValueError, KeyError, TypeError) as exc:
-        # e.g. two refs resolving to one report name, or a ref param
-        # colliding with a factory-fixed keyword
-        print(f"spec {spec.name!r} failed: {exc}", file=sys.stderr)
-        return 2
-    for metric in spec.metrics:
-        print(res.render(metric))
-        print()
-    if args.out:
-        run_dir = save_run(res, args.out, name=spec.name, overwrite=True)
-        print(f"saved run record to {run_dir}")
-    elif args.store:
-        store = _open_store_arg(args.store)
-        if store is None:
-            return 2
-        with store:
-            stored = store.save(res, name=spec.name)
-        print(f"saved run record {stored.ref} to {store.uri}")
-    return 0
+    return _run_and_save(
+        spec,
+        args,
+        lambda res: [res.render(metric) for metric in spec.metrics],
+        out_name=spec.name,
+    )
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:

@@ -1,16 +1,23 @@
 """Ablation studies of the STGA's design choices (DESIGN.md §5).
 
 These go beyond the paper's figures and probe the knobs the paper
-fixes by fiat:
+fixes by fiat.  Most are spec builders — run them with
+:func:`~repro.experiments.spec.run_spec`:
+
+* :func:`stga_ablation_spec` — LRU vs FIFO, history-only STGA and the
+  conventional GA side by side;
+* :func:`lookup_capacity_spec` — Table 1's table size (150);
+* :func:`eviction_spec` — LRU (paper) vs FIFO;
+* :func:`risk_penalty_spec` — risk-penalised fitness (extension);
+* :func:`lambda_spec` — the unspecified failure constant λ;
+* :func:`failure_point_spec` — where the fail-stop bites.
+
+Two studies read scheduler internals a report does not carry, so they
+still build their schedulers by hand:
 
 * :func:`stga_vs_conventional` — the Figure 5 concept made
   quantitative: identical GA, with and without history seeding;
-* :func:`lookup_capacity_sweep` — Table 1's table size (150);
-* :func:`threshold_sweep` — Table 1's similarity threshold (0.8);
-* :func:`eviction_comparison` — LRU (paper) vs FIFO;
-* :func:`lambda_sensitivity` — the unspecified failure constant λ;
-* :func:`failure_point_comparison` — where the fail-stop bites;
-* :func:`risk_penalty_sweep` — risk-penalised fitness (extension).
+* :func:`threshold_sweep` — Table 1's similarity threshold (0.8).
 """
 
 from __future__ import annotations
@@ -21,12 +28,11 @@ import numpy as np
 
 from repro.core.ga import GAConfig
 from repro.core.history import HistoryTable
-from repro.core.stga import StandardGAScheduler, STGAScheduler
+from repro.core.stga import StandardGAScheduler
 from repro.experiments.config import PaperDefaults, RunSettings
 from repro.experiments.runner import make_trained_stga, run_scheduler
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import ScenarioVariant
-from repro.heuristics.minmin import MinMinScheduler
 from repro.metrics.report import PerformanceReport
 from repro.util.rng import RngFactory
 
@@ -34,21 +40,25 @@ __all__ = [
     "GAComparisonResult",
     "stga_vs_conventional",
     "stga_ablation_spec",
-    "lookup_capacity_sweep",
+    "lookup_capacity_spec",
     "threshold_sweep",
-    "eviction_comparison",
-    "lambda_sensitivity",
-    "failure_point_comparison",
-    "risk_penalty_sweep",
+    "eviction_spec",
+    "risk_penalty_spec",
+    "lambda_spec",
+    "failure_point_spec",
 ]
 
 
-def _psa_pair(n_jobs: int, scale: float, settings: RunSettings, defaults):
+def _psa_variant(n_jobs: int, n_training_jobs: int) -> ScenarioVariant:
     return ScenarioVariant(
-        name=f"PSA N={n_jobs}",
-        n_jobs=n_jobs,
-        n_training_jobs=defaults.n_training_jobs,
-    ).build_scenarios(settings.seed, scale)
+        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=n_training_jobs
+    )
+
+
+def _psa_pair(n_jobs: int, scale: float, settings: RunSettings, defaults):
+    return _psa_variant(n_jobs, defaults.n_training_jobs).build_scenarios(
+        settings.seed, scale
+    )
 
 
 @dataclass(frozen=True)
@@ -122,54 +132,54 @@ def stga_ablation_spec(
             "stga?heuristic_seeds=false&label=STGA-history-only",
             "ga?label=conventional-GA",
         ),
-        variants=(
-            ScenarioVariant(
-                name=f"PSA N={n_jobs}",
-                workload="psa",
-                n_jobs=n_jobs,
-                n_training_jobs=defaults.n_training_jobs,
-            ),
-        ),
+        variants=(_psa_variant(n_jobs, defaults.n_training_jobs),),
         seeds=tuple(seeds) if seeds is not None else (settings.seed,),
         scale=scale,
         settings=settings,
     )
 
 
-def _trained_stga_with_table(
-    scenario, training, settings, defaults, table: HistoryTable, ga_config=None
-) -> STGAScheduler:
-    return make_trained_stga(
-        scenario,
-        training,
-        settings,
-        defaults=defaults,
-        ga_config=ga_config,
-        history=table,
+def _stga_refs_spec(
+    name: str,
+    refs,
+    *,
+    n_jobs: int,
+    scale: float,
+    settings: RunSettings,
+    defaults: PaperDefaults,
+) -> ExperimentSpec:
+    """Labelled ``stga?…`` refs on one PSA variant at ``settings.seed``."""
+    return ExperimentSpec(
+        name=name,
+        schedulers=tuple(refs),
+        variants=(_psa_variant(n_jobs, defaults.n_training_jobs),),
+        seeds=(settings.seed,),
+        scale=scale,
+        settings=settings,
     )
 
 
-def lookup_capacity_sweep(
+def lookup_capacity_spec(
     capacities=(10, 50, 150, 400),
     *,
     n_jobs: int = 1000,
     scale: float = 1.0,
     settings: RunSettings = RunSettings(),
     defaults: PaperDefaults = PaperDefaults(),
-    ga_config: GAConfig | None = None,
-) -> dict[int, PerformanceReport]:
-    """Makespan sensitivity to the history-table capacity."""
-    scenario, training = _psa_pair(n_jobs, scale, settings, defaults)
-    out: dict[int, PerformanceReport] = {}
-    for cap in capacities:
-        table = HistoryTable(
-            capacity=int(cap), threshold=defaults.similarity_threshold
-        )
-        stga = _trained_stga_with_table(
-            scenario, training, settings, defaults, table, ga_config
-        )
-        out[int(cap)] = run_scheduler(scenario, stga, settings)
-    return out
+) -> ExperimentSpec:
+    """Makespan sensitivity to the history-table capacity: one
+    ``stga?capacity=C`` ref per capacity, in ``capacities`` order."""
+    return _stga_refs_spec(
+        "lookup-capacity",
+        (
+            f"stga?capacity={c}&label=STGA-capacity-{c}"
+            for c in map(int, capacities)
+        ),
+        n_jobs=n_jobs,
+        scale=scale,
+        settings=settings,
+        defaults=defaults,
+    )
 
 
 def threshold_sweep(
@@ -188,107 +198,110 @@ def threshold_sweep(
         table = HistoryTable(
             capacity=defaults.lookup_table_size, threshold=float(th)
         )
-        stga = _trained_stga_with_table(
-            scenario, training, settings, defaults, table, ga_config
-        )
-        rep = run_scheduler(scenario, stga, settings)
-        out[float(th)] = (rep, table.hit_rate)
-    return out
-
-
-def eviction_comparison(
-    *,
-    n_jobs: int = 1000,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-    ga_config: GAConfig | None = None,
-) -> dict[str, PerformanceReport]:
-    """LRU (paper) vs FIFO eviction for the lookup table."""
-    scenario, training = _psa_pair(n_jobs, scale, settings, defaults)
-    out: dict[str, PerformanceReport] = {}
-    for policy in ("lru", "fifo"):
-        table = HistoryTable(
-            capacity=defaults.lookup_table_size,
-            threshold=defaults.similarity_threshold,
-            eviction=policy,
-        )
-        stga = _trained_stga_with_table(
-            scenario, training, settings, defaults, table, ga_config
-        )
-        out[policy] = run_scheduler(scenario, stga, settings)
-    return out
-
-
-def lambda_sensitivity(
-    lams=(1.0, 3.0, 6.0, 12.0),
-    *,
-    n_jobs: int = 1000,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-) -> dict[float, dict[str, PerformanceReport]]:
-    """Risky vs secure Min-Min across failure-law steepness λ.
-
-    As λ grows, risky placements fail more often and the risky mode's
-    advantage shrinks — this sweep quantifies how much our default
-    λ = 3.0 matters.
-    """
-    scenario, _ = ScenarioVariant(
-        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
-    ).build_scenarios(settings.seed, scale)
-    out: dict[float, dict[str, PerformanceReport]] = {}
-    for lam in lams:
-        s = replace(settings, lam=float(lam))
-        out[float(lam)] = {
-            "risky": run_scheduler(
-                scenario, MinMinScheduler("risky", lam=float(lam)), s
-            ),
-            "secure": run_scheduler(
-                scenario, MinMinScheduler("secure", lam=float(lam)), s
-            ),
-        }
-    return out
-
-
-def failure_point_comparison(
-    *,
-    n_jobs: int = 1000,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-) -> dict[str, PerformanceReport]:
-    """'uniform' vs 'end' fail-stop point under risky Min-Min."""
-    scenario, _ = ScenarioVariant(
-        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
-    ).build_scenarios(settings.seed, scale)
-    out: dict[str, PerformanceReport] = {}
-    for point in ("uniform", "end"):
-        s = replace(settings, failure_point=point)
-        out[point] = run_scheduler(
-            scenario, MinMinScheduler("risky", lam=settings.lam), s
-        )
-    return out
-
-
-def risk_penalty_sweep(
-    penalties=(0.0, 0.5, 1.0, 2.0),
-    *,
-    n_jobs: int = 1000,
-    scale: float = 1.0,
-    settings: RunSettings = RunSettings(),
-    defaults: PaperDefaults = PaperDefaults(),
-    ga_config: GAConfig | None = None,
-) -> dict[float, PerformanceReport]:
-    """Risk-penalised GA fitness (extension): trade N_fail vs makespan."""
-    scenario, training = _psa_pair(n_jobs, scale, settings, defaults)
-    out: dict[float, PerformanceReport] = {}
-    for pen in penalties:
         stga = make_trained_stga(
             scenario,
             training,
             settings,
             defaults=defaults,
             ga_config=ga_config,
-            risk_penalty=float(pen),
+            history=table,
         )
-        out[float(pen)] = run_scheduler(scenario, stga, settings)
+        rep = run_scheduler(scenario, stga, settings)
+        out[float(th)] = (rep, table.hit_rate)
     return out
+
+
+def eviction_spec(
+    *,
+    n_jobs: int = 1000,
+    scale: float = 1.0,
+    settings: RunSettings = RunSettings(),
+    defaults: PaperDefaults = PaperDefaults(),
+) -> ExperimentSpec:
+    """LRU (paper) vs FIFO eviction for the lookup table, in that order."""
+    return _stga_refs_spec(
+        "eviction",
+        (
+            "stga?eviction=lru&label=STGA-LRU",
+            "stga?eviction=fifo&label=STGA-FIFO",
+        ),
+        n_jobs=n_jobs,
+        scale=scale,
+        settings=settings,
+        defaults=defaults,
+    )
+
+
+def risk_penalty_spec(
+    penalties=(0.0, 0.5, 1.0, 2.0),
+    *,
+    n_jobs: int = 1000,
+    scale: float = 1.0,
+    settings: RunSettings = RunSettings(),
+    defaults: PaperDefaults = PaperDefaults(),
+) -> ExperimentSpec:
+    """Risk-penalised GA fitness (extension), trading N_fail against
+    makespan: one ``stga?risk_penalty=P`` ref per penalty, in order."""
+    return _stga_refs_spec(
+        "risk-penalty",
+        (
+            f"stga?risk_penalty={p!r}&label=STGA-risk-penalty-{p!r}"
+            for p in map(float, penalties)
+        ),
+        n_jobs=n_jobs,
+        scale=scale,
+        settings=settings,
+        defaults=defaults,
+    )
+
+
+def lambda_spec(
+    lams=(1.0, 3.0, 6.0, 12.0),
+    *,
+    n_jobs: int = 1000,
+    scale: float = 1.0,
+    settings: RunSettings = RunSettings(),
+) -> ExperimentSpec:
+    """Risky vs secure Min-Min across failure-law steepness λ.
+
+    One variant per λ (in ``lams`` order), each overriding the
+    settings' ``lam``.  As λ grows, risky placements fail more often
+    and the risky mode's advantage shrinks — this sweep quantifies how
+    much our default λ = 3.0 matters.
+    """
+    return ExperimentSpec(
+        name="lambda",
+        schedulers=("min-min-risky", "min-min-secure"),
+        variants=tuple(
+            ScenarioVariant(
+                name=f"lambda={float(lam)!r}",
+                n_jobs=n_jobs,
+                n_training_jobs=0,
+                lam=float(lam),
+            )
+            for lam in lams
+        ),
+        seeds=(settings.seed,),
+        scale=scale,
+        settings=settings,
+    )
+
+
+def failure_point_spec(
+    point: str,
+    *,
+    n_jobs: int = 1000,
+    scale: float = 1.0,
+    settings: RunSettings = RunSettings(),
+) -> ExperimentSpec:
+    """Risky Min-Min under one fail-stop point (``'uniform'`` or
+    ``'end'``).  The point is a :class:`RunSettings` field, so each
+    point is its own spec."""
+    return ExperimentSpec(
+        name=f"failure-point-{point}",
+        schedulers=("min-min-risky",),
+        variants=(_psa_variant(n_jobs, 0),),
+        seeds=(settings.seed,),
+        scale=scale,
+        settings=replace(settings, failure_point=point),
+    )

@@ -1,9 +1,10 @@
 """Sensitivity studies of the parameters the paper leaves open.
 
-* :func:`batch_interval_sweep` — the scheduling period of Figure 1's
-  online model is never stated; this sweep shows how makespan and
+* :func:`batch_interval_spec` — the scheduling period of Figure 1's
+  online model is never stated; this spec shows how makespan and
   response trade off as batches grow (longer accumulation = better
-  packing but higher queueing delay);
+  packing but higher queueing delay); run it with
+  :func:`~repro.experiments.spec.run_spec`;
 * :func:`estimation_error_sweep` — the paper's §5 future-work
   question: how fast do the ETC-driven schedulers degrade when job
   durations are only known up to log-normal estimation error?
@@ -11,10 +12,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.config import PaperDefaults, RunSettings
 from repro.experiments.runner import run_scheduler
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments.sweep import ScenarioVariant
 from repro.heuristics.estimation import NoisyETCScheduler
 from repro.heuristics.minmin import MinMinScheduler
@@ -23,27 +23,35 @@ from repro.heuristics.sufferage import SufferageScheduler
 from repro.metrics.report import PerformanceReport
 from repro.util.rng import RngFactory
 
-__all__ = ["batch_interval_sweep", "estimation_error_sweep"]
+__all__ = ["batch_interval_spec", "estimation_error_sweep"]
 
 
-def batch_interval_sweep(
+def batch_interval_spec(
     intervals=(250.0, 1000.0, 4000.0, 16000.0),
     *,
     n_jobs: int = 1000,
     scale: float = 1.0,
     settings: RunSettings = RunSettings(),
-) -> dict[float, PerformanceReport]:
-    """Min-Min f-risky under different scheduling periods."""
-    scenario, _ = ScenarioVariant(
-        name=f"PSA N={n_jobs}", n_jobs=n_jobs, n_training_jobs=0
-    ).build_scenarios(settings.seed, scale)
-    out: dict[float, PerformanceReport] = {}
-    for interval in intervals:
-        s = replace(settings, batch_interval=float(interval))
-        out[float(interval)] = run_scheduler(
-            scenario, MinMinScheduler("f-risky", lam=settings.lam), s
-        )
-    return out
+) -> ExperimentSpec:
+    """Min-Min f-risky under different scheduling periods: one variant
+    per interval (in ``intervals`` order), each overriding the
+    settings' ``batch_interval``."""
+    return ExperimentSpec(
+        name="batch-interval",
+        schedulers=("min-min-f-risky",),
+        variants=tuple(
+            ScenarioVariant(
+                name=f"batch_interval={float(interval)!r}",
+                n_jobs=n_jobs,
+                n_training_jobs=0,
+                batch_interval=float(interval),
+            )
+            for interval in intervals
+        ),
+        seeds=(settings.seed,),
+        scale=scale,
+        settings=settings,
+    )
 
 
 def estimation_error_sweep(

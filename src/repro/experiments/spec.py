@@ -21,32 +21,50 @@ Every paper figure is a spec builder:
 emit-spec fig8`` writes them from the CLI, and ``repro-grid fig8``
 runs the same spec through :func:`run_spec` and prints the figure's
 renderer over the result.
+
+:func:`run_spec` is the one executor of a (variant x seed x ref) grid:
+figures, ablation and sensitivity studies, ``repro-grid run`` and
+``repro-grid sweep`` all go through it.  Each (variant, seed) point
+rebuilds its scenario through the workload registry (workload rng =
+seed, training rng = seed +
+:data:`~repro.workloads.base.TRAINING_SEED_OFFSET`, engine/GA streams
+from ``RunSettings.seed = seed``) and runs every ref on it, so the
+pool size changes wall-clock time and nothing else.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.experiments.config import PaperDefaults, RunSettings
+from repro.experiments.runner import reports_by_name, simulate_scheduler
 from repro.experiments.sweep import (
     SWEEP_METRICS,
     ScenarioVariant,
     SweepResult,
-    run_sweep,
+    parallel_map,
 )
-from repro.metrics.report import PerformanceReport
-from repro.registry import parse_scheduler_ref, scheduler_spec
+from repro.grid.trace import GridTrace, save_trace
+from repro.metrics.report import PerformanceReport, evaluate
+from repro.registry import bind_scheduler, parse_scheduler_ref, scheduler_spec
+from repro.util.rng import RngFactory
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
     "SpecError",
     "ExperimentSpec",
     "parse_spec_text",
+    "run_cell",
     "run_spec",
     "save_spec",
     "load_spec",
+    "trace_slug",
+    "trace_filename",
 ]
 
 SPEC_SCHEMA_VERSION = 1
@@ -246,26 +264,141 @@ def load_spec(path: str | Path) -> ExperimentSpec:
         raise SpecError(f"{path}: {exc}") from None
 
 
+def trace_slug(text: str) -> str:
+    """Filename-safe slug of a variant name or scheduler ref."""
+    slug = re.sub(r"[^a-z0-9._-]+", "-", str(text).lower()).strip("-")
+    return slug or "x"
+
+
+def trace_filename(variant_name: str, seed: int, ref: str) -> str:
+    """Canonical trace filename for one recorded cell."""
+    return f"{trace_slug(variant_name)}--s{int(seed)}--{trace_slug(ref)}.jsonl"
+
+
+def run_cell(
+    variant: ScenarioVariant,
+    seed: int,
+    refs: tuple[str, ...],
+    *,
+    settings: RunSettings = RunSettings(),
+    scale: float = 1.0,
+    defaults: PaperDefaults = PaperDefaults(),
+    record: bool = False,
+) -> list[tuple[PerformanceReport, GridTrace | None]]:
+    """Run every ref on one (variant, seed) scenario, as
+    :func:`~repro.experiments.runner.run_lineup` does.
+
+    Returns one ``(report, trace)`` pair per ref.  ``trace`` is None
+    unless ``record``; then it holds the run (grid, jobs, timeline,
+    attempts) and the ``meta`` that
+    :func:`~repro.experiments.replay.replay_trace` rebuilds the cell
+    from: the *base* settings, variant, seed, scale, ref and report.
+    """
+    cell_settings = variant.settings_for(settings, seed)
+    scenario, training = variant.build_scenarios(seed, scale)
+    context = dict(scenario=scenario, training=training, defaults=defaults)
+    built = [
+        bind_scheduler(
+            ref, cell_settings, RngFactory(cell_settings.seed), **context
+        )
+        for ref in refs
+    ]
+    out: list[tuple[PerformanceReport, GridTrace | None]] = []
+    for ref, scheduler in zip(refs, built):
+        result = simulate_scheduler(
+            scenario, scheduler, cell_settings, record_attempts=record
+        )
+        report = evaluate(result, scheduler.name)
+        trace = None
+        if record:
+            meta = {
+                "name": scenario.name,
+                "scheduler": ref,
+                "seed": int(seed),
+                "scale": float(scale),
+                "settings": settings.to_dict(),
+                "variant": asdict(variant),
+                "report": report.to_dict(),
+            }
+            trace = GridTrace(
+                meta=meta,
+                grid=scenario.grid,
+                jobs=scenario.jobs,
+                timeline=getattr(scenario, "timeline", None),
+                attempts=result.attempts,
+            )
+        out.append((report, trace))
+    return out
+
+
+def _run_task(
+    spec: ExperimentSpec,
+    defaults: PaperDefaults,
+    trace_dir: Path | None,
+    point: tuple[ScenarioVariant, int],
+) -> list[PerformanceReport]:
+    """Worker entry point (module-level, so the pool can pickle it):
+    one (variant, seed) point, its traces written when recording."""
+    variant, seed = point
+    runs = run_cell(
+        variant,
+        seed,
+        spec.schedulers,
+        settings=spec.settings,
+        scale=spec.scale,
+        defaults=defaults,
+        record=trace_dir is not None,
+    )
+    if trace_dir is not None:
+        for ref, (_, trace) in zip(spec.schedulers, runs):
+            name = trace_filename(variant.name, seed, ref)
+            save_trace(trace_dir / name, trace)
+    return [report for report, _ in runs]
+
+
 def run_spec(
     spec: ExperimentSpec,
     *,
     defaults: PaperDefaults = PaperDefaults(),
     max_workers: int | None = None,
+    record_traces: str | Path | None = None,
 ) -> SweepResult:
     """Execute a spec: the full (variant x seed) grid over its lineup.
 
-    One :func:`~repro.experiments.runner.run_lineup` call per grid
-    point, fanned out over a process pool exactly like
-    :func:`~repro.experiments.sweep.run_sweep` (``max_workers=1``
-    forces the sequential in-process fallback).
+    Grid points are independent, so they fan out over a process pool
+    (:func:`~repro.experiments.sweep.parallel_map`; ``max_workers=1``
+    runs them sequentially in-process with identical results).  With
+    ``record_traces`` every (variant, seed, ref) cell is also written
+    as ``trace_filename(variant, seed, ref)`` under that directory,
+    from inside the worker that ran it; the reports do not change.
     """
     spec.validate()
-    return run_sweep(
-        spec.variants,
-        spec.seeds,
+    trace_dir = None
+    if record_traces is not None:
+        trace_dir = Path(record_traces)
+        trace_dir.mkdir(parents=True, exist_ok=True)
+    grid = [(v, s) for v in spec.variants for s in spec.seeds]
+    started = time.perf_counter()
+    outputs = parallel_map(
+        partial(_run_task, spec, defaults, trace_dir),
+        grid,
+        max_workers=max_workers,
+    )
+    elapsed = time.perf_counter() - started
+
+    reports: dict[str, dict[str, list[PerformanceReport]]] = {}
+    for (variant, _), lineup_reports in zip(grid, outputs):
+        per_sched = reports.setdefault(variant.name, {})
+        for sched_name, rep in reports_by_name(lineup_reports).items():
+            per_sched.setdefault(sched_name, []).append(rep)
+    return SweepResult(
+        variants=spec.variants,
+        seeds=spec.seeds,
+        reports={
+            vname: {s: tuple(reps) for s, reps in per_sched.items()}
+            for vname, per_sched in reports.items()
+        },
         settings=spec.settings,
         scale=spec.scale,
-        defaults=defaults,
-        lineup=spec.schedulers,
-        max_workers=max_workers,
+        elapsed_seconds=elapsed,
     )

@@ -1,31 +1,24 @@
-"""Replication sweeps: N seeds x M scenario variants, in parallel.
+"""Replication sweeps: the data model of a (variant x seed) grid.
 
 Every headline number of the paper reproduction was originally a
-single-seed run.  This module turns any lineup experiment into a
-statistically grounded sweep: it fans the (variant, seed) grid out
-over a :class:`concurrent.futures.ProcessPoolExecutor`, collects the
-per-run :class:`~repro.metrics.report.PerformanceReport` objects, and
+single-seed run.  A sweep crosses scenario variants with replication
+seeds: :class:`ScenarioVariant` pins one scenario configuration,
+:func:`seed_list` and :func:`job_scaling_variants` build the common
+axes, and :class:`SweepResult` holds the per-run
+:class:`~repro.metrics.report.PerformanceReport` objects and
 aggregates them into mean / std / 95 %-CI summaries per
 (variant, scheduler, metric) cell.
 
-Determinism contract
---------------------
-A sweep run is *per-seed identical* to sequential
-:func:`~repro.experiments.runner.run_lineup` calls with the same
-:class:`~repro.util.rng.RngFactory` streams: each worker rebuilds its
-scenario from ``(variant, seed)`` through the workload registry
-(workload rng = seed, training rng = seed +
-:data:`~repro.workloads.base.TRAINING_SEED_OFFSET`, engine/GA streams
-from ``RunSettings.seed = seed``), so the executor fan-out changes
-wall-clock time and nothing else.  Every paper figure is such a sweep:
-its spec builder's :func:`~repro.experiments.spec.run_spec` result is
-what ``repro-grid figN`` renders.
-``benchmarks/test_sweep_throughput.py`` asserts this.
+:func:`repro.experiments.spec.run_spec` executes a grid, fanning its
+points out over :func:`parallel_map`; its determinism contract (a
+cell equals a direct :func:`~repro.experiments.runner.run_lineup` call
+with the same streams, whatever the pool size) is documented there
+and asserted by ``benchmarks/test_sweep_throughput.py``.
 
 CLI
 ---
-The sweep is wired into the ``repro-grid`` CLI as the ``sweep``
-experiment::
+``repro-grid sweep`` builds a job-scaling spec from its flags and runs
+it through ``run_spec``::
 
     repro-grid sweep --scale 0.01 --sweep-seeds 5 --sweep-workload psa \\
         --sweep-jobs 1000,2000 --max-workers 4
@@ -40,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -49,7 +41,6 @@ import numpy as np
 
 from repro.core.ga import GAConfig
 from repro.experiments.config import PaperDefaults, RunSettings
-from repro.experiments.runner import reports_by_name, run_lineup
 from repro.metrics.report import PerformanceReport
 from repro.registry import (
     build_workload,
@@ -65,7 +56,6 @@ __all__ = [
     "ScenarioVariant",
     "MetricSummary",
     "SweepResult",
-    "run_sweep",
     "job_scaling_variants",
     "seed_list",
     "SWEEP_METRICS",
@@ -176,31 +166,6 @@ class ScenarioVariant:
         counts through :func:`~repro.workloads.base.scale_jobs`.
         """
         return build_workload(self, seed, scale)
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    """Picklable unit of work: one (variant, seed) replication."""
-
-    variant: ScenarioVariant
-    seed: int
-    scale: float
-    settings: RunSettings
-    defaults: PaperDefaults
-    lineup: tuple[str, ...] | None = None
-
-
-def _run_task(task: _SweepTask) -> list[PerformanceReport]:
-    """Worker entry point (module-level for ProcessPoolExecutor)."""
-    settings = task.variant.settings_for(task.settings, task.seed)
-    scenario, training = task.variant.build_scenarios(task.seed, task.scale)
-    return run_lineup(
-        scenario,
-        training,
-        settings,
-        defaults=task.defaults,
-        lineup=task.lineup,
-    )
 
 
 def parallel_map(fn, items, *, max_workers: int | None = None) -> list:
@@ -642,75 +607,3 @@ def job_scaling_variants(
         for n in n_values
     )
 
-
-def run_sweep(
-    variants: Sequence[ScenarioVariant],
-    seeds: Sequence[int],
-    *,
-    settings: RunSettings = RunSettings(),
-    scale: float = 1.0,
-    defaults: PaperDefaults = PaperDefaults(),
-    lineup: Sequence[str] | None = None,
-    max_workers: int | None = None,
-) -> SweepResult:
-    """Run the full (variant x seed) grid and aggregate the reports.
-
-    Each grid point is one :func:`run_lineup` call — by default the
-    paper's lineup, or any list of scheduler-registry refs via
-    ``lineup`` — on one freshly generated scenario.  Grid points are independent, so they fan out over a
-    process pool; ``max_workers=1`` runs them sequentially in-process
-    with identical results.
-    """
-    variants = tuple(variants)
-    seeds = tuple(int(s) for s in seeds)
-    lineup = tuple(lineup) if lineup is not None else None
-    if not variants:
-        raise ValueError("need at least one scenario variant")
-    if not seeds:
-        raise ValueError("need at least one replication seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"replication seeds must be distinct, got {seeds}")
-    names = [v.name for v in variants]
-    if len(set(names)) != len(names):
-        raise ValueError(f"variant names must be distinct, got {names}")
-
-    tasks = [
-        _SweepTask(
-            variant=v,
-            seed=s,
-            scale=scale,
-            settings=settings,
-            defaults=defaults,
-            lineup=lineup,
-        )
-        for v in variants
-        for s in seeds
-    ]
-    started = time.perf_counter()
-    outputs = parallel_map(_run_task, tasks, max_workers=max_workers)
-    elapsed = time.perf_counter() - started
-
-    reports: dict[str, dict[str, list[PerformanceReport]]] = {}
-    for task, lineup_reports in zip(tasks, outputs):
-        per_sched = reports.setdefault(task.variant.name, {})
-        for sched_name, rep in reports_by_name(lineup_reports).items():
-            per_sched.setdefault(sched_name, []).append(rep)
-    frozen = {
-        vname: {s: tuple(reps) for s, reps in per_sched.items()}
-        for vname, per_sched in reports.items()
-    }
-    for vname, per_sched in frozen.items():
-        for sched_name, reps in per_sched.items():
-            if len(reps) != len(seeds):  # pragma: no cover - invariant
-                raise RuntimeError(
-                    f"cell ({vname!r}, {sched_name!r}) collected "
-                    f"{len(reps)} reports for {len(seeds)} seeds"
-                )
-    return SweepResult(
-        variants=variants,
-        seeds=seeds,
-        reports=frozen,
-        settings=settings,
-        scale=scale,
-        elapsed_seconds=elapsed,
-    )

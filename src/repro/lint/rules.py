@@ -21,6 +21,8 @@ rule id   invariant
           ref-grammar-safe name
 ``Q1``    SQL in ``store/sqlite.py`` is parameterized; ``MIGRATIONS``
           is append-only (checksummed prefix)
+``I1``    every imported name is used (or re-exported in
+          ``__all__``)
 ========  ==========================================================
 """
 
@@ -41,6 +43,7 @@ __all__ = [
     "AtomicWriteRule",
     "RegistryHygieneRule",
     "SqlHygieneRule",
+    "UnusedImportRule",
     "default_rules",
     "migration_checksum",
 ]
@@ -573,6 +576,74 @@ class SqlHygieneRule(Rule):
         return None
 
 
+class UnusedImportRule(Rule):
+    """I1: every name an import binds is read somewhere in the file.
+
+    An unused import is a dependency nobody has: it costs import time,
+    can close an import cycle, and sends a reader looking for a use
+    that is not there.  A name read inside a quoted annotation or
+    listed in ``__all__`` (a package's re-export) counts as used;
+    ``from __future__`` imports never count.
+    """
+
+    rule_id = "I1"
+    title = "no unused imports"
+    default_hint = (
+        "delete the import, or list a deliberate re-export in __all__"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        used = _read_names(ctx.tree)
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                bound = [
+                    (a.asname or a.name.split(".", 1)[0], a.name)
+                    for a in node.names
+                ]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "__future__":
+                    continue
+                bound = [(a.asname or a.name, a.name) for a in node.names]
+            else:
+                continue
+            for local, name in bound:
+                if local not in used and name != "*":
+                    shown = name if local == name else f"{name} as {local}"
+                    yield self.finding(
+                        ctx, node, f"{shown!r} is imported but never used"
+                    )
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads, plus the names inside quoted
+    annotations and the strings of an ``__all__`` list."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets
+        ):
+            used.update(_strings(node.value))
+        annotation = getattr(node, "annotation", None) or getattr(
+            node, "returns", None
+        )
+        for text in _strings(annotation) if annotation is not None else ():
+            try:
+                used |= _read_names(ast.parse(text, mode="eval"))
+            except SyntaxError:
+                pass
+    return used
+
+
+def _strings(node: ast.AST) -> list[str]:
+    return [
+        c.value for c in ast.walk(node)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+
+
 def default_rules() -> tuple[Rule, ...]:
     """Fresh instances of the full rule set, in catalogue order."""
     return (
@@ -582,4 +653,5 @@ def default_rules() -> tuple[Rule, ...]:
         AtomicWriteRule(),
         RegistryHygieneRule(),
         SqlHygieneRule(),
+        UnusedImportRule(),
     )

@@ -968,18 +968,25 @@ class TestReplayCommand:
         assert main(["replay", str(empty)]) == 2
         assert "no *.jsonl" in capsys.readouterr().err
 
-    def test_replay_mismatch_exit_1(self, capsys, tmp_path):
-        import json as _json
-
-        from repro.experiments.replay import record_cell
+    @staticmethod
+    def _recorded_cell(tmp_path):
+        """One recorded 20-job (PSA, seed 2005, Min-Min secure) trace."""
+        from repro.experiments.spec import run_cell
         from repro.experiments.sweep import ScenarioVariant
         from repro.grid.trace import save_trace
 
         variant = ScenarioVariant(
             name="PSA s", workload="psa", n_jobs=20, n_training_jobs=0
         )
-        trace, _ = record_cell(variant, 2005, "min-min-secure")
-        path = save_trace(tmp_path / "cell.jsonl", trace)
+        [(_, trace)] = run_cell(
+            variant, 2005, ("min-min-secure",), record=True
+        )
+        return save_trace(tmp_path / "cell.jsonl", trace)
+
+    def test_replay_mismatch_exit_1(self, capsys, tmp_path):
+        import json as _json
+
+        path = self._recorded_cell(tmp_path)
         lines = path.read_text().splitlines()
         for i, line in enumerate(lines):
             row = _json.loads(line)
@@ -992,6 +999,65 @@ class TestReplayCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(path)]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "tamper, key",
+        [
+            (lambda meta: meta["variant"].update(bogus=1), "bogus"),
+            (lambda meta: meta.update(variant=["PSA s"]), "variant"),
+            (lambda meta: meta.pop("report"), "report"),
+            (lambda meta: meta.update(scheduler="nope"), "scheduler"),
+        ],
+        ids=[
+            "unknown-variant-key",
+            "variant-not-an-object",
+            "no-report",
+            "unknown-scheduler-ref",
+        ],
+    )
+    def test_replay_malformed_meta_exit_2(self, capsys, tmp_path, tamper, key):
+        """Bad trace metadata is a usage error (exit 2, naming the file
+        and the key), never a traceback or the exit-1 mismatch verdict."""
+        from repro.experiments.replay import replay_trace
+
+        path = self._recorded_cell(tmp_path)
+        head, *rows = path.read_text().splitlines()
+        header = json.loads(head)
+        tamper(header["meta"])
+        path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        with pytest.raises(ValueError, match=key) as info:
+            replay_trace(path)
+        assert str(path) in str(info.value)
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+
+    def test_run_record_traces_replays_bit_identically(
+        self, capsys, tmp_path
+    ):
+        """`run SPEC --record-traces DIR` records through the pool, and
+        the traces replay into a record equal to the run's own."""
+        spec_path = str(tmp_path / "spec.json")
+        traces = str(tmp_path / "traces")
+        orig = str(tmp_path / "orig")
+        replayed = str(tmp_path / "replayed")
+        assert main([
+            "emit-spec", "fig8", "--scale", "0.002", "--spec-seeds", "2",
+            "--out", spec_path,
+        ]) == 0
+        assert main([
+            "run", spec_path, "--record-traces", traces,
+            "--max-workers", "2", "--out", orig,
+        ]) == 0
+        assert "recorded 14 trace(s)" in capsys.readouterr().out
+        assert main(["replay", traces, "--out", replayed]) == 0
+        out = capsys.readouterr().out
+        assert "14 bit-identical, 0 mismatched" in out
+        assert main([
+            "compare-runs", orig, replayed,
+            "--fail-on-regression", "--threshold", "0",
+        ]) == 0
+        assert "0 diverged" in capsys.readouterr().out
 
     def test_sweep_bad_workload_ref_exit_2(self, capsys):
         assert main([

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.fitness import assignment_makespan, population_makespan
+from repro.core.fitness import assignment_makespan
 from repro.core.ga import GAConfig, evolve
 
 

@@ -13,7 +13,7 @@ from ga_oracle import (
     roulette_select,
     single_point_crossover,
 )
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.chromosome import EligibleSites

@@ -11,9 +11,8 @@ from repro.core.stga import (
     STGAScheduler,
     warmup_history,
 )
-from repro.grid.site import Grid
 from repro.heuristics.minmin import MinMinScheduler
-from tests.conftest import make_batch, make_jobs
+from tests.conftest import make_jobs
 
 FAST = GAConfig(population_size=20, generations=15)
 

@@ -1,21 +1,27 @@
-"""Smoke tests for the ablation drivers (tiny scale)."""
-
-import pytest
+"""Smoke tests for the ablation studies (tiny scale)."""
 
 from repro.core.ga import GAConfig
 from repro.experiments.ablation import (
-    eviction_comparison,
-    failure_point_comparison,
-    lambda_sensitivity,
-    lookup_capacity_sweep,
-    risk_penalty_sweep,
+    eviction_spec,
+    failure_point_spec,
+    lambda_spec,
+    lookup_capacity_spec,
+    risk_penalty_spec,
     stga_vs_conventional,
     threshold_sweep,
 )
 from repro.experiments.config import RunSettings
+from repro.experiments.spec import run_spec
 
 FAST_GA = GAConfig(population_size=16, generations=8)
 SETTINGS = RunSettings(batch_interval=2000.0, seed=5, ga=FAST_GA)
+
+
+def lineup(spec):
+    """The one-seed run of a one-variant spec: reports in ref order."""
+    res = run_spec(spec, max_workers=1)
+    [reports] = res.per_seed_lineups(res.variants[0].name)
+    return reports
 
 
 class TestStgaVsConventional:
@@ -32,14 +38,14 @@ class TestStgaVsConventional:
 
 class TestSweeps:
     def test_lookup_capacity(self):
-        out = lookup_capacity_sweep(
-            capacities=(5, 50),
-            n_jobs=40,
-            settings=SETTINGS,
-            ga_config=FAST_GA,
+        reports = lineup(
+            lookup_capacity_spec((5, 50), n_jobs=40, settings=SETTINGS)
         )
-        assert set(out) == {5, 50}
-        assert all(r.makespan > 0 for r in out.values())
+        assert [r.scheduler for r in reports] == [
+            "STGA-capacity-5",
+            "STGA-capacity-50",
+        ]
+        assert all(r.makespan > 0 for r in reports)
 
     def test_threshold(self):
         out = threshold_sweep(
@@ -55,32 +61,35 @@ class TestSweeps:
         assert out[0.5][1] >= out[0.9][1]
 
     def test_eviction(self):
-        out = eviction_comparison(
-            n_jobs=40, settings=SETTINGS, ga_config=FAST_GA
-        )
-        assert set(out) == {"lru", "fifo"}
+        reports = lineup(eviction_spec(n_jobs=40, settings=SETTINGS))
+        assert [r.scheduler for r in reports] == ["STGA-LRU", "STGA-FIFO"]
 
     def test_lambda(self):
-        out = lambda_sensitivity(
-            lams=(1.0, 10.0), n_jobs=40, settings=SETTINGS
-        )
-        assert set(out) == {1.0, 10.0}
-        for pair in out.values():
-            assert pair["secure"].n_fail == 0
+        spec = lambda_spec(lams=(1.0, 10.0), n_jobs=40, settings=SETTINGS)
+        res = run_spec(spec, max_workers=1)
+        assert [v.lam for v in res.variants] == [1.0, 10.0]
+        for v in res.variants:
+            [(risky, secure)] = res.per_seed_lineups(v.name)
+            assert risky.scheduler == "Min-Min Risky"
+            assert secure.n_fail == 0
 
     def test_failure_point(self):
-        out = failure_point_comparison(n_jobs=40, settings=SETTINGS)
-        assert set(out) == {"uniform", "end"}
+        out = {
+            point: lineup(
+                failure_point_spec(point, n_jobs=40, settings=SETTINGS)
+            )
+            for point in ("uniform", "end")
+        }
         # charging the full attempt cannot shorten the makespan when
         # the same failures occur... but seeds differ per run, so just
         # sanity-check positivity.
-        assert all(r.makespan > 0 for r in out.values())
+        assert all(r.makespan > 0 for [r] in out.values())
 
     def test_risk_penalty(self):
-        out = risk_penalty_sweep(
-            penalties=(0.0, 2.0),
-            n_jobs=40,
-            settings=SETTINGS,
-            ga_config=FAST_GA,
+        reports = lineup(
+            risk_penalty_spec((0.0, 2.0), n_jobs=40, settings=SETTINGS)
         )
-        assert set(out) == {0.0, 2.0}
+        assert [r.scheduler for r in reports] == [
+            "STGA-risk-penalty-0.0",
+            "STGA-risk-penalty-2.0",
+        ]

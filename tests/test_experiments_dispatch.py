@@ -19,7 +19,6 @@ import pytest
 from repro.core.ga import GAConfig
 from repro.experiments.config import RunSettings
 from repro.experiments.dispatch import (
-    SHARD_STRATEGIES,
     merge_runs,
     run_sharded,
     shard_file_name,

@@ -3,9 +3,10 @@
 from repro.core.ga import GAConfig
 from repro.experiments.config import RunSettings
 from repro.experiments.sensitivity import (
-    batch_interval_sweep,
+    batch_interval_spec,
     estimation_error_sweep,
 )
+from repro.experiments.spec import run_spec
 
 FAST = RunSettings(
     batch_interval=1000.0,
@@ -14,20 +15,26 @@ FAST = RunSettings(
 )
 
 
+def by_interval(intervals):
+    """{interval: Min-Min f-risky report} of a batch-interval spec run."""
+    spec = batch_interval_spec(intervals=intervals, n_jobs=60, settings=FAST)
+    res = run_spec(spec, max_workers=1)
+    return {
+        v.batch_interval: res.per_seed_lineups(v.name)[0][0]
+        for v in res.variants
+    }
+
+
 class TestBatchIntervalSweep:
     def test_structure(self):
-        out = batch_interval_sweep(
-            intervals=(200.0, 2000.0), n_jobs=60, settings=FAST
-        )
+        out = by_interval((200.0, 2000.0))
         assert set(out) == {200.0, 2000.0}
         for rep in out.values():
             assert rep.makespan > 0
             assert rep.n_jobs == 60
 
     def test_longer_interval_fewer_batches(self):
-        out = batch_interval_sweep(
-            intervals=(200.0, 4000.0), n_jobs=60, settings=FAST
-        )
+        out = by_interval((200.0, 4000.0))
         assert out[4000.0].n_batches <= out[200.0].n_batches
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import FIGURES, main
 from repro.core.ga import GAConfig
 from repro.core.stga import StandardGAScheduler
-from repro.experiments import runner
+from repro.experiments import spec as spec_module
 from repro.experiments.ablation import stga_ablation_spec
 from repro.experiments.config import PaperDefaults, RunSettings
 from repro.experiments.fig7 import (
@@ -169,13 +169,13 @@ class TestSpecBuilders:
         """The ``ga`` ref runs through ``run_spec`` as the conventional
         GA, beside three distinctly labelled STGA variants."""
         built = {}
-        real_run_scheduler = runner.run_scheduler
+        real_simulate = spec_module.simulate_scheduler
 
-        def spy(scenario, scheduler, settings):
+        def spy(scenario, scheduler, settings, **kwargs):
             built[scheduler.name] = scheduler
-            return real_run_scheduler(scenario, scheduler, settings)
+            return real_simulate(scenario, scheduler, settings, **kwargs)
 
-        monkeypatch.setattr(runner, "run_scheduler", spy)
+        monkeypatch.setattr(spec_module, "simulate_scheduler", spy)
         spec = stga_ablation_spec(
             n_jobs=20, seeds=(1, 2), scale=1.0, settings=FAST
         )

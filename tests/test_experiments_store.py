@@ -24,11 +24,8 @@ from repro.experiments.store import (
     save_run,
     save_run_to_registry,
 )
-from repro.experiments.sweep import (
-    ScenarioVariant,
-    SweepResult,
-    run_sweep,
-)
+from repro.experiments.spec import ExperimentSpec, run_spec
+from repro.experiments.sweep import ScenarioVariant, SweepResult
 from repro.metrics.compare import RunDiffRow, render_run_diff
 from repro.metrics.report import PerformanceReport
 
@@ -39,8 +36,10 @@ TINY = RunSettings(
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return run_sweep(
-        [
+    spec = ExperimentSpec(
+        name="store-tests",
+        schedulers=PAPER_LINEUP[:-1],
+        variants=[
             ScenarioVariant(name="psa-small", n_jobs=60, n_training_jobs=0),
             ScenarioVariant(
                 name="nas-6",
@@ -51,12 +50,11 @@ def sweep_result():
                 ga_overrides={"generations": 2},
             ),
         ],
-        (1, 2),
-        settings=TINY,
+        seeds=(1, 2),
         scale=0.1,
-        lineup=PAPER_LINEUP[:-1],
-        max_workers=1,
+        settings=TINY,
     )
+    return run_spec(spec, max_workers=1)
 
 
 def make_report(scheduler="S", makespan=100.0, **overrides) -> PerformanceReport:

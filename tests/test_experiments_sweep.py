@@ -22,14 +22,13 @@ from repro.experiments.fig7 import (
 from repro.experiments.fig8 import nas_spec
 from repro.experiments.fig10 import psa_scaling_spec
 from repro.experiments.runner import PAPER_LINEUP, run_lineup, scale_jobs
-from repro.experiments.spec import run_spec
+from repro.experiments.spec import ExperimentSpec, run_spec
 from repro.experiments.sweep import (
     SWEEP_METRICS,
     MetricSummary,
     ScenarioVariant,
     job_scaling_variants,
     parallel_map,
-    run_sweep,
     seed_list,
 )
 from repro.workloads.psa import PSAConfig, psa_scenario
@@ -40,11 +39,19 @@ TINY = RunSettings(
 )
 
 
-def tiny_sweep(variants, seeds=(1, 2), **kw):
-    kw.setdefault("settings", TINY)
-    kw.setdefault("scale", 0.1)
-    kw.setdefault("max_workers", 1)
-    return run_sweep(variants, seeds, **kw)
+def tiny_spec(variants, seeds=(1, 2), lineup=PAPER_LINEUP):
+    return ExperimentSpec(
+        name="tiny",
+        schedulers=lineup,
+        variants=variants,
+        seeds=seeds,
+        scale=0.1,
+        settings=TINY,
+    )
+
+
+def tiny_sweep(variants, seeds=(1, 2), *, lineup=PAPER_LINEUP, **kw):
+    return run_spec(tiny_spec(variants, seeds, lineup), max_workers=1, **kw)
 
 
 class TestScenarioVariant:
@@ -212,13 +219,13 @@ class TestRunSweep:
     def test_input_validation(self):
         v = ScenarioVariant(name="x")
         with pytest.raises(ValueError, match="variant"):
-            run_sweep([], [1])
+            tiny_spec([], [1])
         with pytest.raises(ValueError, match="seed"):
-            run_sweep([v], [])
+            tiny_spec([v], [])
         with pytest.raises(ValueError, match="distinct"):
-            run_sweep([v], [1, 1])
+            tiny_spec([v], [1, 1])
         with pytest.raises(ValueError, match="distinct"):
-            run_sweep([v, v], [1])
+            tiny_spec([v, v], [1])
 
     def test_grid_shape_and_metrics(self):
         variants = job_scaling_variants([60, 120], n_training_jobs=60)

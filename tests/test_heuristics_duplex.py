@@ -1,7 +1,6 @@
 """Tests for the Duplex heuristic."""
 
 import numpy as np
-import pytest
 
 from repro.core.fitness import assignment_makespan
 from repro.grid.site import Grid

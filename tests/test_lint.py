@@ -21,7 +21,11 @@ from repro.cli import main
 from repro.lint import default_rules, lint_paths
 from repro.lint.core import META_RULE_ID
 from repro.lint.locks import MIGRATIONS_LOCK
-from repro.lint.rules import SqlHygieneRule, migration_checksum
+from repro.lint.rules import (
+    SqlHygieneRule,
+    UnusedImportRule,
+    migration_checksum,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -428,6 +432,61 @@ class TestSqlHygieneRule:
         assert a != c
 
 
+# -- I1: unused imports -----------------------------------------------
+
+
+class TestUnusedImportRule:
+    def test_unused_names_fire_once_each(self, tmp_path):
+        report = lint_file(tmp_path, "tests/test_x.py", """\
+            import os.path
+            import pytest
+            from hypothesis import given, settings
+            from hypothesis import strategies as st
+
+            @given(st.integers())
+            def test_it(n):
+                assert os.sep
+        """, rules=(UnusedImportRule(),))
+        assert rule_ids(report) == ["I1", "I1"]
+        messages = [f.message for f in report.findings]
+        assert "'pytest' is imported but never used" in messages[0]
+        assert "'settings'" in messages[1]
+
+    def test_reads_all_and_annotations_count_as_uses(self, tmp_path):
+        report = lint_file(tmp_path, "pkg/__init__.py", """\
+            from __future__ import annotations
+
+            from pkg.a import Exported
+            from pkg.b import Quoted, Plain
+            import numpy as np
+
+            __all__ = ["Exported"]
+
+            def f(x: "Quoted") -> Plain:
+                return np.asarray(x)
+        """, rules=(UnusedImportRule(),))
+        assert report.findings == []
+
+    def test_alias_is_named_and_pragma_suppresses(self, tmp_path):
+        report = lint_file(tmp_path, "pkg/plugin.py", """\
+            import numpy as np
+            import pkg.register  # repro: allow[I1] -- import registers plugins
+        """, rules=(UnusedImportRule(),))
+        assert rule_ids(report) == ["I1"]
+        assert "'numpy as np'" in report.findings[0].message
+        assert len(report.suppressed) == 1
+
+    def test_rule_filter_lints_tests_for_unused_imports_only(
+        self, capsys
+    ):
+        # the CI lint job's second pass: only I1 runs over these trees,
+        # since the other rules guard src/ conventions that tests break
+        # on purpose (D1: tests seed their own generators)
+        trees = ("tests", "benchmarks", "examples")
+        paths = [str(REPO_ROOT / tree) for tree in trees]
+        assert main(["lint", "--rule", "I1", *paths]) == 0
+
+
 # -- suppression pragma hygiene (LNT) ---------------------------------
 
 
@@ -567,7 +626,7 @@ class TestLintCli:
     def test_list_rules_names_the_catalogue(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D1", "D2", "D3", "A1", "R1", "Q1"):
+        for rule_id in ("D1", "D2", "D3", "A1", "R1", "Q1", "I1"):
             assert rule_id in out
 
     def test_rule_filter_via_cli(self, capsys, tmp_path):

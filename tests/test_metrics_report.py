@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.grid.engine import GridSimulator
-from repro.grid.site import Grid
 from repro.heuristics.minmin import MinMinScheduler
 from repro.metrics.report import evaluate
 from tests.conftest import make_jobs

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads.analysis import (
-    WorkloadProfile,
     hourly_histogram,
     profile_scenario,
 )

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import RunSettings
-from repro.experiments.replay import (
-    record_cell,
-    record_sweep,
-    replay_result,
-    replay_trace,
+from repro.experiments.replay import replay_result, replay_trace
+from repro.experiments.spec import (
+    ExperimentSpec,
+    run_cell,
+    run_spec,
     trace_filename,
     trace_slug,
 )
-from repro.experiments.sweep import ScenarioVariant, run_sweep
+from repro.experiments.sweep import ScenarioVariant
 from repro.grid.engine import GridSimulator
 from repro.grid.job import JobState
 from repro.grid.site import Grid
@@ -311,6 +311,22 @@ class TestEngineDynamics:
         ]
 
 
+def _record_one(variant, seed, ref):
+    """(trace, report) of one recorded (variant, seed, ref) cell."""
+    [(report, trace)] = run_cell(variant, seed, (ref,), record=True)
+    return trace, report
+
+
+def _masked_trace(path):
+    """A trace file's lines with the wall-clock report field zeroed."""
+    import json
+
+    head, *rows = path.read_text().splitlines()
+    meta_row = json.loads(head)
+    meta_row["meta"]["report"]["scheduler_seconds"] = 0.0
+    return [json.dumps(meta_row, sort_keys=True), *rows]
+
+
 class TestRecordReplay:
     def test_slug_and_filename(self):
         assert trace_slug("PSA N=120") == "psa-n-120"
@@ -326,7 +342,7 @@ class TestRecordReplay:
             n_jobs=40,
             n_training_jobs=0,
         )
-        trace, report = record_cell(variant, 2005, "min-min-f-risky")
+        trace, report = _record_one(variant, 2005, "min-min-f-risky")
         path = save_trace(tmp_path / "cell.jsonl", trace)
         outcome = replay_trace(path)
         assert outcome.ok, outcome.mismatches
@@ -336,7 +352,7 @@ class TestRecordReplay:
         variant = ScenarioVariant(
             name="PSA s", workload="psa", n_jobs=20, n_training_jobs=0
         )
-        trace, _ = record_cell(variant, 2005, "min-min-secure")
+        trace, _ = _record_one(variant, 2005, "min-min-secure")
         path = save_trace(tmp_path / "cell.jsonl", trace)
         text = path.read_text()
         # corrupt one recorded attempt's end time
@@ -366,36 +382,65 @@ class TestRecordReplay:
         with pytest.raises(ValueError, match="not replayable"):
             replay_trace(path)
 
-    def test_record_sweep_matches_run_sweep(self, tmp_path):
+    def test_recording_run_spec_matches_plain_run(self, tmp_path):
+        """Recording is an option of the one executor: at one and at
+        two workers it writes the same trace files (equal once the
+        wall-clock ``scheduler_seconds`` is masked) and returns the
+        reports of a run that records nothing."""
         from dataclasses import replace
 
-        variant = ScenarioVariant(
-            name="PSA s", workload="psa", n_jobs=25, n_training_jobs=0
+        spec = ExperimentSpec(
+            name="rec",
+            schedulers=("min-min-secure", "sufferage-f-risky"),
+            variants=(
+                ScenarioVariant(
+                    name="PSA dyn",
+                    workload="psa?dynamics=poisson&cancel=0.0005&online=true",
+                    n_jobs=25,
+                    n_training_jobs=0,
+                ),
+            ),
+            seeds=(2005, 2006),
         )
-        lineup = ("min-min-secure", "sufferage-f-risky")
-        recorded, paths = record_sweep(
-            [variant], [2005, 2006], tmp_path / "traces", lineup=lineup
-        )
-        plain = run_sweep(
-            [variant], [2005, 2006], lineup=lineup, max_workers=1
-        )
-        assert len(paths) == 4
-        for vname, per_sched in recorded.reports.items():
-            for sched, reps in per_sched.items():
-                for a, b in zip(reps, plain.reports[vname][sched]):
-                    assert replace(a, scheduler_seconds=0.0) == replace(
-                        b, scheduler_seconds=0.0
-                    )
+        plain = run_spec(spec, max_workers=1)
+        dirs = {w: tmp_path / f"w{w}" for w in (1, 2)}
+        runs = {
+            w: run_spec(spec, max_workers=w, record_traces=d)
+            for w, d in dirs.items()
+        }
+        names = sorted(p.name for p in dirs[1].glob("*.jsonl"))
+        assert len(names) == 4
+        assert names == sorted(p.name for p in dirs[2].glob("*.jsonl"))
+        for name in names:
+            assert _masked_trace(dirs[1] / name) == _masked_trace(
+                dirs[2] / name
+            )
+
+        def masked(res):
+            return {
+                (v, s): tuple(replace(r, scheduler_seconds=0.0) for r in reps)
+                for v, per_sched in res.reports.items()
+                for s, reps in per_sched.items()
+            }
+
+        assert masked(runs[1]) == masked(plain) == masked(runs[2])
 
     def test_replay_result_reassembles_grid(self, tmp_path):
         variant = ScenarioVariant(
             name="PSA s", workload="psa", n_jobs=25, n_training_jobs=0
         )
-        lineup = ("min-min-secure", "min-min-risky")
-        recorded, paths = record_sweep(
-            [variant], [2005, 2006], tmp_path / "traces", lineup=lineup
+        spec = ExperimentSpec(
+            name="rec",
+            schedulers=("min-min-secure", "min-min-risky"),
+            variants=(variant,),
+            seeds=(2005, 2006),
         )
-        outcomes = [replay_trace(p) for p in sorted(paths)]
+        recorded = run_spec(
+            spec, max_workers=1, record_traces=tmp_path / "traces"
+        )
+        paths = sorted((tmp_path / "traces").glob("*.jsonl"))
+        assert len(paths) == 4
+        outcomes = [replay_trace(p) for p in paths]
         assert all(o.ok for o in outcomes)
         reassembled = replay_result(outcomes)
         assert reassembled.seeds == recorded.seeds
@@ -414,7 +459,7 @@ class TestRecordReplay:
         variant = ScenarioVariant(
             name="PSA s", workload="psa", n_jobs=20, n_training_jobs=0
         )
-        trace, _ = record_cell(variant, 2005, "min-min-secure")
+        trace, _ = _record_one(variant, 2005, "min-min-secure")
         path = save_trace(tmp_path / "cell.jsonl", trace)
         replay_variant = ScenarioVariant(
             name="replayed",
