@@ -3,9 +3,10 @@
 The STGA queries its lookup table on *every* scheduling event, so at
 the paper's capacity of 150 the seed implementation paid 150
 Python-level ``batch_similarity`` calls (450 ``vector_similarity``
-calls) per event.  The vectorised query stacks same-shape entries and
-scores them in one numpy pass; this bench pins both the exactness
-(same scores, same order) and the speedup at capacity 150.
+calls) per event.  The vectorised query keeps same-shape entries as
+the rows of one block of arrays and scores them in one numpy pass;
+this bench pins the exactness (same scores, same order), the speedup
+at capacity 150, and that churn never restacks a block.
 """
 
 import time
@@ -115,18 +116,22 @@ def test_query_returns_stored_arrays_without_copying():
         assert not out.flags.writeable
 
 
+def block_arrays(block):
+    return (block.keys, block.ready, block.etc, block.sd)
+
+
 def test_stacks_survive_match_heavy_churn():
     """At capacity, an evict+insert of matching shape overwrites the
-    victim's row in place: the cached stack arrays must stay the *same
-    objects* (no rebuild), and queries must keep returning exactly
+    victim's row in place: the block's row arrays must stay the *same
+    objects* (no restack), and queries must keep returning exactly
     what a from-scratch scoring loop returns."""
     rng = np.random.default_rng(7)
     table, ready, etc, sds = full_table(seed=7)
     table.eviction = "lru"  # matches refresh recency, the paper setup
     block = table._blocks[(B, S)]
 
-    table.query(ready, etc, sds)  # builds the stacks
-    stacks_before = block.stacks()
+    table.query(ready, etc, sds)
+    arrays_before = block_arrays(block)
     for _ in range(20):
         # matching query (refreshes LRU order), then an insert that
         # evicts one same-shape entry
@@ -138,9 +143,8 @@ def test_stacks_survive_match_heavy_churn():
             rng.integers(0, S, size=B),
         )
         assert len(table) == CAPACITY
-    stacks_after = block.stacks()
-    for before, after in zip(stacks_before, stacks_after):
-        assert before is after, "churn rebuilt the stacked block"
+    for before, after in zip(arrays_before, block_arrays(block)):
+        assert before is after, "churn restacked the block"
 
     # in-place rows stayed exact: the vectorised scores still equal
     # the reference loop's, in the same order
@@ -153,27 +157,35 @@ def test_stacks_survive_match_heavy_churn():
         )
 
 
-def test_mixed_shape_insert_still_invalidates():
-    """A shape change (or multi-eviction) falls back to the rebuild
-    path — correctness over cleverness outside the steady state."""
+def test_mixed_shape_insert_touches_only_its_blocks():
+    """A shape change evicts a row from the old shape's block and adds
+    one to the new shape's: neither restacks, and both shapes' queries
+    still equal the reference loop."""
     table, ready, etc, sds = full_table(seed=3)
     block = table._blocks[(B, S)]
     table.query(ready, etc, sds)
-    assert block._stacks is not None
+    arrays_before = block_arrays(block)
 
     # different shape: new block, old block loses its evicted row
     rng = np.random.default_rng(3)
-    table.insert(
+    other = (
         rng.uniform(0, 1000, size=S),
         rng.uniform(10, 5000, size=(B + 1, S)),
         rng.uniform(0.6, 0.9, size=B + 1),
-        rng.integers(0, S, size=B + 1),
     )
+    table.insert(*other, rng.integers(0, S, size=B + 1))
     assert len(block) == CAPACITY - 1
-    assert block._stacks is None  # row removal invalidated, as it must
+    for before, after in zip(arrays_before, block_arrays(block)):
+        assert before is after, "a row removal restacked the block"
+    assert len(table._blocks[(B + 1, S)]) == 1
     expected = loop_query_scores(table, ready, etc, sds)
     results = table.query(ready, etc, sds)
     assert len(results) == len(expected)
+    for (_, key), assignment in zip(expected, results):
+        np.testing.assert_array_equal(
+            assignment, table._entries[key].assignment
+        )
+    assert len(table.query(*other)) == len(loop_query_scores(table, *other)) == 1
 
 
 def test_match_churn_query_stays_fast_at_capacity():
@@ -220,9 +232,8 @@ def test_match_churn_query_stays_fast_at_capacity():
 
 
 def test_vectorized_query_beats_loop_with_insert_churn():
-    """STGA's real access pattern: insert-then-query every event, so
-    the stacks are rebuilt each time.  The vectorised path must still
-    win with that rebuild cost included."""
+    """STGA's real access pattern: insert-then-query every event.  The
+    vectorised path must win with the insert's row write included."""
     rng = np.random.default_rng(1)
     table, ready, etc, sds = full_table(seed=1)
     reps = 30

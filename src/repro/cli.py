@@ -983,7 +983,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         try:
             outcome = replay_trace(p)
         except (OSError, ValueError) as exc:
-            print(f"{p}: {exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)  # the message names the file
             return 2
         verdict = (
             "bit-identical"

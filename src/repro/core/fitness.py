@@ -155,6 +155,8 @@ class FitnessWorkspace:
         b = self.n_jobs
         self._idx = np.empty((p, b), dtype=np.int64)
         self._weights = np.empty((p, b), dtype=float)
+        self._idx_flat = self._idx.ravel()
+        self._weights_flat = self._weights.ravel()
         self._rows = np.arange(p, dtype=np.int64)[:, None]
         self._empty_sites = np.empty((self.n_sites, p), dtype=bool)
         self._per_job = np.empty((p, b), dtype=float) if self.flow_weight else None
@@ -175,8 +177,8 @@ class FitnessWorkspace:
         # the makespan max below reduces over the long leading axis
         np.multiply(pop, p, out=idx)
         idx += self._rows
-        flat = idx.ravel()
-        loads = np.bincount(flat, weights=weights.ravel(), minlength=p * s)
+        flat = self._idx_flat
+        loads = np.bincount(flat, weights=self._weights_flat, minlength=p * s)
         loads = loads.reshape(s, p)
         empty = self._empty_sites
         if self._all_positive:

@@ -12,15 +12,18 @@ A generation step ping-pongs two preallocated population buffers
 through the fused operator kernels of :mod:`repro.core.operators` and
 evaluates the children with one reusable
 :class:`~repro.core.fitness.FitnessWorkspace`, so the loop allocates
-no population copies.  :func:`intake_seeds` is the one place seed
-chromosomes enter the GA.
+no population copies.  The step's own buffers (crossover tail table,
+mutation uniforms) are built on the first generation that runs in
+full: most small batches never run one.
+:func:`intake_seeds` is the one place seed chromosomes enter the GA.
 
 When the batch's whole search space is no larger than the rows one
 stall window evaluates, :func:`evolve` enumerates it up front.  Once
 the best-so-far fitness equals that certified optimum no child can
 improve on it, so the rest of the run is fixed and the remaining
-generations only consume their random draws — the result and the
-generator state stay exactly those of the full loop.
+generations only consume their random draws
+(:func:`~repro.core.operators.skip_generations`, in one pass) — the
+result and the generator state stay exactly those of the full loop.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ from repro.core.chromosome import (
 from repro.core.fitness import FitnessWorkspace
 from repro.core.operators import (
     crossover_inplace,
+    crossover_tails,
     elitism_inplace,
     mutate_inplace,
     roulette_select_into,
-    skip_generation_draws,
+    skip_generations,
 )
 from repro.util.validation import check_probability
 
@@ -58,25 +62,25 @@ def _certified_optimum(
     None when the space holds more than ``cap`` chromosomes, or when
     any of them has a non-finite fitness (the loop's roulette would
     raise on it, so nothing may be skipped).  The space is enumerated
-    in mixed radix over ``sites.lookup``, ``buf``'s P rows at a time
-    (the last chunk wraps around), and scored with the decision's own
+    in mixed radix over ``sites.lookup``, at most ``buf``'s P rows at a
+    time, each chromosome once, and scored with the decision's own
     workspace: ``evaluate`` is row-independent, so the minimum is the
     very float the loop computes for that chromosome.
     """
     counts = sites.counts
-    # a float product cannot overflow; it is exact wherever it is <= cap
-    if float(np.prod(counts, dtype=float)) > cap:
+    space = math.prod(counts.tolist())  # exact: Python integers
+    if space > cap:
         return None
-    space = int(np.prod(counts))
     p, b = buf.shape
     strides = np.cumprod(np.concatenate(([1], counts[:-1])))
     offsets = np.arange(b, dtype=np.int64) * sites.lookup.shape[1]
     lookup_flat = sites.lookup.ravel()
     best = math.inf
     for start in range(0, space, p):
-        rows = np.arange(start, start + p, dtype=np.int64) % space
-        np.take(lookup_flat, rows[:, None] // strides % counts + offsets, out=buf)
-        fit = ws.evaluate(buf)
+        rows = np.arange(start, min(start + p, space), dtype=np.int64)
+        chunk = buf[: rows.size]
+        np.take(lookup_flat, rows[:, None] // strides % counts + offsets, out=chunk)
+        fit = ws.evaluate(chunk)
         lo, hi = float(fit.min()), float(fit.max())  # NaN shows in both
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return None
@@ -240,17 +244,19 @@ def evolve(
             pop = seeds
     pop = np.ascontiguousarray(pop, dtype=np.int64)
     buf = np.empty_like(pop)
-    scratch = np.empty(pop.shape, dtype=float)  # mutation's uniforms
+    fit = ws.evaluate(pop)
     stall_window = config.stall_generations or config.generations
+    # after the population's own evaluate: the certificate may resize
+    # the workspace to a shorter last chunk
     f_star = _certified_optimum(ws, sites, buf, p * stall_window)
 
-    fit = ws.evaluate(pop)
     best_idx = int(np.argmin(fit))
     best = pop[best_idx].copy()
     best_fit = float(fit[best_idx])
     initial_fit = best_fit
     history = [best_fit] if track_history else None
 
+    scratch = None  # the step's buffers, built on its first full generation
     stall = 0
     gens_run = 0
     while gens_run < config.generations:
@@ -260,23 +266,27 @@ def evolve(
             n = config.generations - gens_run
             if config.stall_generations is not None:
                 n = min(n, config.stall_generations - stall)
-            for _ in range(n):
-                skip_generation_draws(
-                    rng, p, b, config.crossover_prob, config.mutation_prob,
-                    scratch,
-                )
+            skip_generations(
+                rng, n, p, b, config.crossover_prob, config.mutation_prob,
+                scratch,
+            )
             gens_run += n
             if history is not None:
                 history.extend([best_fit] * n)
             break
+        if scratch is None:
+            tails = crossover_tails(b)
+            # mutation's uniforms in its head; skip_generations' draws
+            scratch = np.empty(2 * p * b + p)
+            uniforms = scratch[: p * b].reshape(p, b)
         gens_run += 1
         elite_idx = np.argsort(fit)[: config.n_elite]
         elites, elite_fit = pop[elite_idx], fit[elite_idx]  # copies
 
         roulette_select_into(pop, fit, rng, out=buf)
         pop, buf = buf, pop  # ping-pong: buf now holds the old pop
-        crossover_inplace(pop, config.crossover_prob, rng)
-        mutate_inplace(pop, sites, config.mutation_prob, rng, scratch)
+        crossover_inplace(pop, config.crossover_prob, rng, tails)
+        mutate_inplace(pop, sites, config.mutation_prob, rng, uniforms)
         fit = ws.evaluate(pop)
         elitism_inplace(pop, fit, elites, elite_fit)
 

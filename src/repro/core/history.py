@@ -14,17 +14,16 @@ vector is ``ready - now``): two identical load patterns occurring on
 different days should match, and absolute simulation timestamps would
 otherwise dominate Eq. 2's denominator.
 
-Queries are vectorised: same-shape entries are cached as stacked
-arrays (one block per (B, S) shape) and all Eq. 2 similarities are
-computed in a single numpy pass
-(:func:`repro.core.similarity.population_similarity`), instead of a
+Queries are vectorised: same-shape entries live as rows of one
+block of arrays per (B, S) shape, and all Eq. 2 similarities are
+computed in a single numpy pass (the kernel of
+:func:`repro.core.similarity.population_similarity`), instead of a
 Python-level loop over up to ``capacity`` entries per scheduling
-event.  Neither an LRU refresh-on-match nor an evict+insert of
-matching shape at capacity invalidates the stacks — the former only
-reorders ``_entries`` and the latter overwrites the victim's row in
-place — so the steady-state churn of a full table costs no rebuilds.
-``benchmarks/test_history_query_speed.py`` pins both the speedup and
-the stack stability under match-heavy churn.
+event.  A block is never restacked: an insert writes one row, an
+eviction moves the block's last row into the hole, an evict+insert of
+matching shape overwrites the victim's row, and an LRU refresh only
+reorders ``_entries``.  ``benchmarks/test_history_query_speed.py``
+pins both the speedup and the row buffers' stability under churn.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.similarity import population_similarity
+from repro.core.similarity import _row_similarity
 from repro.util.validation import check_positive
 
 __all__ = ["HistoryEntry", "HistoryTable"]
@@ -57,69 +56,70 @@ class HistoryEntry:
 
 
 class _ShapeBlock:
-    """Same-shape entries stacked for one-pass Eq. 2 scoring.
+    """Same-shape entries as the rows of one set of arrays, scored in
+    one pass.
 
-    Stacks are rebuilt lazily: inserts and evictions append/remove a
-    row and drop the cached stacks; the next query restacks once.  LRU
-    reordering does not touch the block (row order is immaterial — the
-    score sort is on (similarity, insertion id)), and an evict+insert
-    of matching shape — the steady state of a full table under churn —
-    overwrites the victim's row *in place* via :meth:`replace_row`
-    instead of invalidating the stacks, so a match-heavy workload at
-    capacity never pays the O(capacity) restack per scheduling event.
+    Rows ``[0, size)`` of ``keys``/``ready``/``etc``/``sd`` hold the
+    entries; every change writes rows in place.  An insert fills the
+    next row, an eviction moves the last row into the hole, and
+    :meth:`replace` overwrites a victim's row.  Row order is
+    immaterial: the score sort is on (similarity, insertion id).  The
+    arrays grow by half when full, up to the table's capacity, and
+    halve once at most a quarter of their rows is in use, so they
+    hold fewer than four times the block's entries.
     """
 
-    __slots__ = ("keys", "_ready", "_etc", "_sd", "_stacks")
+    __slots__ = ("size", "keys", "ready", "etc", "sd", "_row", "_cap")
 
-    def __init__(self) -> None:
-        self.keys: list[int] = []
-        self._ready: list[np.ndarray] = []
-        self._etc: list[np.ndarray] = []
-        self._sd: list[np.ndarray] = []
-        self._stacks: tuple[np.ndarray, ...] | None = None
+    def __init__(self, shape: tuple[int, int], capacity: int) -> None:
+        b, s = shape
+        self.size = 0
+        self._cap = capacity
+        self._row: dict[int, int] = {}  # key -> row
+        self.keys = np.empty(1, dtype=np.int64)
+        self.ready = np.empty((1, s))
+        self.etc = np.empty((1, b * s))
+        self.sd = np.empty((1, b))
+
+    def _resize(self, rows: int) -> None:
+        n = self.size
+        for name in ("keys", "ready", "etc", "sd"):
+            old = getattr(self, name)
+            new = np.empty((rows,) + old.shape[1:], dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def _write(self, i: int, key: int, entry: HistoryEntry) -> None:
+        self._row[key] = i
+        self.keys[i] = key
+        self.ready[i] = entry.ready
+        self.etc[i] = entry.etc.ravel()
+        self.sd[i] = entry.security_demands
 
     def add(self, key: int, entry: HistoryEntry) -> None:
-        self.keys.append(key)
-        self._ready.append(entry.ready)
-        self._etc.append(entry.etc.ravel())
-        self._sd.append(entry.security_demands)
-        self._stacks = None
+        n = self.size
+        if n == len(self.keys):
+            self._resize(min(n + n // 2 + 1, max(self._cap, n + 1)))
+        self._write(n, key, entry)
+        self.size = n + 1
 
     def remove(self, key: int) -> None:
-        i = self.keys.index(key)
-        for lst in (self.keys, self._ready, self._etc, self._sd):
-            lst.pop(i)
-        self._stacks = None
+        i = self._row.pop(key)
+        last = self.size - 1
+        if i != last:
+            self._row[int(self.keys[last])] = i
+            for arr in (self.keys, self.ready, self.etc, self.sd):
+                arr[i] = arr[last]
+        self.size = last
+        if 0 < last <= len(self.keys) // 4:
+            self._resize(2 * last)
 
-    def replace_row(self, old_key: int, new_key: int, entry: HistoryEntry) -> None:
-        """Overwrite ``old_key``'s row with ``entry`` — stacks stay valid.
-
-        The stacked arrays own copies of the entry data (``np.stack``
-        copies), so writing the rows in place cannot alias the new
-        entry's arrays.
-        """
-        i = self.keys.index(old_key)
-        self.keys[i] = new_key
-        self._ready[i] = entry.ready
-        self._etc[i] = entry.etc.ravel()
-        self._sd[i] = entry.security_demands
-        if self._stacks is not None:
-            ready_s, etc_s, sd_s = self._stacks
-            ready_s[i] = entry.ready
-            etc_s[i] = entry.etc.ravel()
-            sd_s[i] = entry.security_demands
-
-    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._stacks is None:
-            self._stacks = (
-                np.stack(self._ready),
-                np.stack(self._etc),
-                np.stack(self._sd),
-            )
-        return self._stacks
+    def replace(self, old_key: int, new_key: int, entry: HistoryEntry) -> None:
+        """Overwrite ``old_key``'s row with ``entry``."""
+        self._write(self._row.pop(old_key), new_key, entry)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.size
 
 
 @dataclass
@@ -145,7 +145,7 @@ class HistoryTable:
     eviction: str = "lru"
     _entries: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _ids: itertools.count = field(default_factory=itertools.count, repr=False)
-    #: per-shape stacked views of ``_entries`` (vectorised scoring)
+    #: per-shape row blocks of ``_entries`` (vectorised scoring)
     _blocks: dict = field(default_factory=dict, repr=False)
     #: query statistics, exposed for the experiment reports
     queries: int = 0
@@ -198,20 +198,18 @@ class HistoryTable:
             evicted.append(self._entries.popitem(last=False))
         key = next(self._ids)
         self._entries[key] = entry
-        if (
-            len(evicted) == 1
-            and evicted[0][1].shape == entry.shape
-            and entry.shape in self._blocks
-        ):
-            # steady state of a full table: swap the victim's row in
-            # place, keeping the block's cached stacks valid
-            self._blocks[entry.shape].replace_row(evicted[0][0], key, entry)
+        if len(evicted) == 1 and evicted[0][1].shape == entry.shape:
+            # steady state of a full table: the victim's row takes the
+            # new entry
+            self._blocks[entry.shape].replace(evicted[0][0], key, entry)
             return
         for old_key, old_entry in evicted:
             self._drop_from_block(old_key, old_entry)
         block = self._blocks.get(entry.shape)
         if block is None:
-            block = self._blocks[entry.shape] = _ShapeBlock()
+            block = self._blocks[entry.shape] = _ShapeBlock(
+                entry.shape, self.capacity
+            )
         block.add(key, entry)
 
     def query(
@@ -231,33 +229,35 @@ class HistoryTable:
         sds = np.asarray(security_demands, dtype=float)
         self.queries += 1
 
-        scored: list[tuple[float, int]] = []
+        results: list[np.ndarray] = []
         block = self._blocks.get(etc.shape)
-        if block is not None and len(block):
-            ready_s, etc_s, sd_s = block.stacks()
-            # Eq. 2 per parameter across all K same-shape entries in
-            # one numpy pass, then the three-way average — the exact
+        if block is not None:
+            b, s = etc.shape
+            ready, sds = ready.ravel(), sds.ravel()
+            if ready.size != s or sds.size != b:
+                raise ValueError(
+                    f"query has {ready.size} ready times and {sds.size} "
+                    f"security demands for a {b}x{s} etc"
+                )
+            n = block.size
+            # Eq. 2 per parameter across all same-shape entries in one
+            # numpy pass, then the three-way average — the exact
             # computation batch_similarity performs entry by entry.
             sims = (
-                population_similarity(ready_s, ready, normalized=self.normalized)
-                + population_similarity(
-                    etc_s, etc.ravel(), normalized=self.normalized
-                )
-                + population_similarity(sd_s, sds, normalized=self.normalized)
+                _row_similarity(block.ready[:n], ready, self.normalized)
+                + _row_similarity(block.etc[:n], etc.ravel(), self.normalized)
+                + _row_similarity(block.sd[:n], sds, self.normalized)
             ) / 3.0
-            for i in np.flatnonzero(sims >= self.threshold):
-                scored.append((float(sims[i]), block.keys[i]))
-
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        if max_results is not None:
-            scored = scored[:max_results]
-        if scored:
+            hit = np.flatnonzero(sims >= self.threshold)
+            keys = block.keys[hit]
+            # best similarity first, ties by insertion id
+            keys = keys[np.lexsort((keys, -sims[hit]))][:max_results]
+            for key in keys.tolist():
+                if self.eviction == "lru":
+                    self._entries.move_to_end(key)
+                results.append(self._entries[key].assignment)
+        if results:
             self.hits += 1
-        results = []
-        for _, key in scored:
-            if self.eviction == "lru":
-                self._entries.move_to_end(key)
-            results.append(self._entries[key].assignment)
         return results
 
     def _drop_from_block(self, key: int, entry: HistoryEntry) -> None:

@@ -14,9 +14,11 @@
 
 Everything is vectorised over the population.  The operators are
 fused kernels: they write into a caller-provided buffer or mutate the
-population in place, so a generation step allocates no population
-copies.  The GA loop (:func:`repro.core.ga.evolve`) owns the buffers
-and guarantees the inputs are validated integer populations.
+population in place, and take optional per-decision buffers (the
+crossover tail table, the mutation uniforms), so a generation step
+allocates no population copies.  The GA loop
+(:func:`repro.core.ga.evolve`) owns the buffers and guarantees the
+inputs are validated integer populations.
 
 The RNG draws are part of each kernel's contract — which calls, of
 which sizes, in which order — because every committed baseline was
@@ -39,7 +41,8 @@ __all__ = [
     "crossover_inplace",
     "mutate_inplace",
     "elitism_inplace",
-    "skip_generation_draws",
+    "crossover_tails",
+    "skip_generations",
 ]
 
 #: floor weight as a fraction of the fitness span, keeps the wheel
@@ -86,8 +89,18 @@ def roulette_select_into(
     return out
 
 
+def crossover_tails(b: int) -> np.ndarray:
+    """The (b+1, b) crossover mask table: row k, for a cut point k in
+    [1, b-1], is True on the tail ``[k:]``; row b is all False (the
+    pair does not cross)."""
+    return np.arange(b)[None, :] >= np.arange(b + 1)[:, None]
+
+
 def crossover_inplace(
-    population: np.ndarray, prob: float, rng: np.random.Generator
+    population: np.ndarray,
+    prob: float,
+    rng: np.random.Generator,
+    tails: np.ndarray | None = None,
 ) -> np.ndarray:
     """Crossover adjacent pairs in place; an odd trailing chromosome
     passes through.
@@ -97,7 +110,9 @@ def crossover_inplace(
     length 1 cannot cross and are returned unchanged.  The exchange is
     an XOR swap on the integer genes (``a ^= d; c ^= d`` with
     ``d = (a ^ c) * tail``), which is exact for integers and needs no
-    full-population temporaries.
+    full-population temporaries.  Each pair's tail is a row of
+    :func:`crossover_tails`, indexed by its cut point, or by B when it
+    does not cross; ``tails`` passes a prebuilt table.
     """
     p, b = population.shape
     if b < 2 or p < 2 or prob <= 0:
@@ -107,7 +122,9 @@ def crossover_inplace(
     c = population[1 : 2 * n_pairs : 2]
     crossing = rng.random(n_pairs) < prob
     points = rng.integers(1, b, size=n_pairs)
-    tail = (np.arange(b)[None, :] >= points[:, None]) & crossing[:, None]
+    if tails is None:
+        tails = crossover_tails(b)
+    tail = tails[np.where(crossing, points, b)]
     diff = np.bitwise_xor(a, c)
     diff *= tail  # zero outside the swapped tails
     a ^= diff
@@ -143,32 +160,56 @@ def mutate_inplace(
     return population
 
 
-def skip_generation_draws(
+def skip_generations(
     rng: np.random.Generator,
+    n: int,
     p: int,
     b: int,
     crossover_prob: float,
     mutation_prob: float,
     scratch: np.ndarray | None = None,
 ) -> None:
-    """Consume exactly the draws of one generation step on a (p, b)
+    """Consume exactly the draws of ``n`` generation steps on a (p, b)
     population and do nothing else.
 
-    Equivalent, for the generator, to :func:`roulette_select_into`,
-    :func:`crossover_inplace` and :func:`mutate_inplace` in turn: none
-    of their draws depends on the population, only on its shape and
-    the probabilities.  The GA uses this once a certified optimum has
-    made the rest of its run fixed.  ``scratch`` is as in
-    :func:`mutate_inplace`.
+    Equivalent, for the generator, to ``n`` rounds of
+    :func:`roulette_select_into`, :func:`crossover_inplace` and
+    :func:`mutate_inplace`: none of their draws depends on the
+    population, only on its shape and the probabilities.  The GA uses
+    this once a certified optimum has made the rest of its run fixed.
+
+    Uniforms that sit next to each other in the stream are drawn in
+    one call: ``random(k)`` then ``random(m)`` leaves the generator
+    exactly where ``random(k + m)`` does.  Two things end a run.  The
+    crossover's ``integers`` call draws from the stream differently,
+    so the run before it is drawn first; at b = 2 its range holds one
+    value and it draws nothing, so it is skipped.  The mutation mask
+    is drawn as the end of a run, because its minimum decides whether
+    the value uniforms follow.  ``scratch``, an optional 1-D float
+    buffer of at least ``2 * p * b + p`` elements, receives the draws.
     """
-    rng.random(p)
-    if b >= 2 and p >= 2 and crossover_prob > 0:
-        rng.random(p // 2)
-        rng.integers(1, b, size=p // 2)
-    if mutation_prob > 0:
-        u = rng.random((p, b), out=scratch)
-        if u.min() < mutation_prob:  # some gene is hit
-            rng.random((p, b), out=scratch)
+    n_pairs = p // 2 if b >= 2 and p >= 2 and crossover_prob > 0 else 0
+    pb = p * b
+
+    def draw(k: int) -> np.ndarray:
+        if scratch is not None and k <= scratch.size:
+            return rng.random(out=scratch[:k])
+        return rng.random(k)
+
+    owed = 0  # uniforms of the stream not drawn yet
+    for _ in range(n):
+        owed += p + n_pairs  # selection, then the crossover coins
+        if n_pairs and b > 2:
+            draw(owed)
+            owed = 0
+            rng.integers(1, b, size=n_pairs)
+        if mutation_prob > 0:
+            owed += pb  # the hit mask ends the run
+            u = draw(owed)
+            # the value uniforms follow when some gene is hit
+            owed = pb if u[-pb:].min() < mutation_prob else 0
+    if owed:
+        draw(owed)
 
 
 def elitism_inplace(

@@ -57,9 +57,10 @@ def population_similarity(stack, vec, *, normalized: bool = True) -> np.ndarray:
     is a (K,) array where entry k equals
     ``vector_similarity(stack[k], vec)`` exactly (same operations in
     the same order, so the results are bit-identical).  This is the
-    kernel behind the vectorised :meth:`HistoryTable.query
-    <repro.core.history.HistoryTable.query>`: one numpy pass replaces
-    K Python-level comparisons.
+    validating entry point; the vectorised :meth:`HistoryTable.query
+    <repro.core.history.HistoryTable.query>` runs the same kernel on
+    its own row buffers: one numpy pass replaces K Python-level
+    comparisons.
     """
     m = np.asarray(stack, dtype=float)
     v = np.asarray(vec, dtype=float).ravel()
@@ -73,17 +74,29 @@ def population_similarity(stack, vec, *, normalized: bool = True) -> np.ndarray:
         raise ValueError("similarity of empty vectors is undefined")
     if m.shape[0] == 0:
         return np.empty(0, dtype=float)
+    return _row_similarity(m, v, normalized)
+
+
+def _row_similarity(m: np.ndarray, v: np.ndarray, normalized: bool) -> np.ndarray:
+    """:func:`population_similarity` without its validation: ``m`` a
+    non-empty (K, n) float matrix, ``v`` an (n,) float vector, n > 0.
+
+    The history table's query calls this on its own row buffers.  The
+    error-state context is entered only when some row is degenerate,
+    the one case that divides by zero.
+    """
     denom = np.maximum(m.max(axis=1), v.max())
     totals = np.abs(m - v[None, :]).sum(axis=1)
     if normalized:
         totals = totals / v.size
+    degenerate = denom <= 0  # both rows entirely <= 0 (see above)
+    if not degenerate.any():
+        return 1.0 - totals / denom
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = 1.0 - totals / denom
-    degenerate = denom <= 0  # both rows entirely <= 0 (see above)
-    if degenerate.any():
-        sims[degenerate] = np.where(
-            (m[degenerate] == v[None, :]).all(axis=1), 1.0, 0.0
-        )
+    sims[degenerate] = np.where(
+        (m[degenerate] == v[None, :]).all(axis=1), 1.0, 0.0
+    )
     return sims
 
 

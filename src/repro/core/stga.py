@@ -39,6 +39,21 @@ __all__ = [
 ]
 
 
+def _sub_batch(batch: Batch, feasible: np.ndarray) -> Batch:
+    """The feasible-job view of ``batch`` (what the GA solves)."""
+    return Batch(
+        now=batch.now,
+        job_ids=batch.job_ids[feasible],
+        workloads=batch.workloads[feasible],
+        security_demands=batch.security_demands[feasible],
+        secure_only=batch.secure_only[feasible],
+        etc=batch.etc[feasible],
+        ready=batch.ready,
+        site_security=batch.site_security,
+        speeds=batch.speeds,
+    )
+
+
 class _GASchedulerBase(SecurityDrivenScheduler):
     """Shared machinery of the two GA schedulers.
 
@@ -81,25 +96,23 @@ class _GASchedulerBase(SecurityDrivenScheduler):
         #: track per-generation best fitness in last_result.history
         self.track_history = False
 
-    def _fitness_etc(self, batch: Batch, feasible: np.ndarray) -> np.ndarray:
-        etc = batch.etc[feasible]
+    def _fitness_etc(self, batch: Batch) -> np.ndarray:
+        etc = batch.etc
         if self.risk_penalty > 0:
             etc = expected_etc(
                 etc,
-                batch.security_demands[feasible],
+                batch.security_demands,
                 batch.site_security,
                 lam=self.lam,
                 penalty=self.risk_penalty,
             )
         return etc
 
-    def _seeds(self, batch: Batch, feasible: np.ndarray) -> np.ndarray | None:
+    def _seeds(self, batch: Batch) -> np.ndarray | None:
         """Initial chromosomes beyond the random fill (STGA hook)."""
         return None
 
-    def _after(
-        self, batch: Batch, feasible: np.ndarray, result: GAResult
-    ) -> None:
+    def _after(self, batch: Batch, result: GAResult) -> None:
         """Post-schedule hook (STGA stores history here)."""
 
     def schedule(self, batch: Batch) -> ScheduleResult:
@@ -107,19 +120,24 @@ class _GASchedulerBase(SecurityDrivenScheduler):
         feasible = elig.any(axis=1)
         assignment = np.full(batch.n_jobs, -1, dtype=int)
         if feasible.any():
+            # the GA and its hooks see the feasible jobs only; when
+            # every job is feasible that is the batch itself
+            sub = batch
+            if not feasible.all():
+                sub, elig = _sub_batch(batch, feasible), elig[feasible]
             result = evolve(
-                self._fitness_etc(batch, feasible),
-                batch.ready,
-                elig[feasible],
+                self._fitness_etc(sub),
+                sub.ready,
+                elig,
                 self.rng,
                 self.config,
-                initial=self._seeds(batch, feasible),
+                initial=self._seeds(sub),
                 track_history=self.track_history,
             )
             assignment[feasible] = result.best
             self.last_result = result
             self.initial_fitnesses.append(result.initial_fitness)
-            self._after(batch, feasible, result)
+            self._after(sub, result)
         # Dispatch shortest-execution-first (SPT).  Per-site order does
         # not affect the batch makespan (site completion is the sum of
         # its jobs), but SPT minimises the mean completion time within
@@ -225,66 +243,48 @@ class STGAScheduler(_GASchedulerBase):
         self.history = history if history is not None else HistoryTable()
         self.max_seed_fraction = max_seed_fraction
         self.heuristic_seeds = heuristic_seeds
+        from repro.heuristics.minmin import MinMinScheduler
+        from repro.heuristics.sufferage import SufferageScheduler
+
+        # mode, f and lam are read-only: the seeders are built once
+        self._seeders = tuple(
+            cls(self.mode, f=self.f, lam=self.lam)
+            for cls in (MinMinScheduler, SufferageScheduler)
+        )
 
     @property
     def name(self) -> str:
         return self.label if self.label is not None else "STGA"
 
-    def _sub_batch(self, batch: Batch, feasible: np.ndarray) -> Batch:
-        """The feasible-job view of ``batch`` (what the GA solves)."""
-        return Batch(
-            now=batch.now,
-            job_ids=batch.job_ids[feasible],
-            workloads=batch.workloads[feasible],
-            security_demands=batch.security_demands[feasible],
-            secure_only=batch.secure_only[feasible],
-            etc=batch.etc[feasible],
-            ready=batch.ready,
-            site_security=batch.site_security,
-            speeds=batch.speeds,
-        )
-
-    def _heuristic_seeds(
-        self, batch: Batch, feasible: np.ndarray
-    ) -> list[np.ndarray]:
-        from repro.heuristics.minmin import MinMinScheduler
-        from repro.heuristics.sufferage import SufferageScheduler
-
-        sub = self._sub_batch(batch, feasible)
+    def _heuristic_seeds(self, batch: Batch) -> list[np.ndarray]:
         seeds = []
-        for cls in (MinMinScheduler, SufferageScheduler):
-            sched = cls(self.mode, f=self.f, lam=self.lam)
-            assignment = np.asarray(sched.schedule(sub).assignment)
+        for sched in self._seeders:
+            assignment = np.asarray(sched.schedule(batch).assignment)
             if (assignment >= 0).all():  # feasible jobs are assignable
                 seeds.append(assignment)
         return seeds
 
-    def _seeds(self, batch: Batch, feasible: np.ndarray) -> np.ndarray | None:
+    def _seeds(self, batch: Batch) -> np.ndarray | None:
         ready_rel = batch.ready - batch.now
         max_seeds = max(
             1, int(self.config.population_size * self.max_seed_fraction)
         )
         matches = self.history.query(
             ready_rel,
-            batch.etc[feasible],
-            batch.security_demands[feasible],
+            batch.etc,
+            batch.security_demands,
             max_results=max_seeds,
         )
         if self.heuristic_seeds:
-            matches = self._heuristic_seeds(batch, feasible) + matches
+            matches = self._heuristic_seeds(batch) + matches
         if not matches:
             return None
         return np.stack(matches[:max_seeds])
 
-    def _after(
-        self, batch: Batch, feasible: np.ndarray, result: GAResult
-    ) -> None:
+    def _after(self, batch: Batch, result: GAResult) -> None:
         ready_rel = batch.ready - batch.now
         self.history.insert(
-            ready_rel,
-            batch.etc[feasible],
-            batch.security_demands[feasible],
-            result.best,
+            ready_rel, batch.etc, batch.security_demands, result.best
         )
 
 

@@ -91,9 +91,11 @@ def replay_trace(
     identical is the bit-identity guarantee ``repro-grid replay``
     checks.
 
-    Raises ``ValueError`` naming the file and the offending key for
-    traces without replayable metadata (e.g. hand-built ones that were
-    never recorded by ``run_spec``) or with malformed metadata.
+    Raises ``ValueError`` naming the file once: for an unreadable
+    trace (see :func:`~repro.grid.trace.load_trace`), for traces
+    without replayable metadata (e.g. hand-built ones that were never
+    recorded by ``run_spec``) or with malformed metadata (naming the
+    offending key), and for a recorded cell that no longer runs.
     """
     path = Path(path)
     trace = load_trace(path)
@@ -126,15 +128,18 @@ def replay_trace(
     parsed("scheduler", lambda r: scheduler_spec(parse_scheduler_ref(r)[0]))
     recorded_report = parsed("report", PerformanceReport.from_dict)
 
-    [(report, replayed)] = run_cell(
-        variant,
-        seed,
-        (ref,),
-        settings=settings,
-        scale=scale,
-        defaults=defaults,
-        record=True,
-    )
+    try:
+        [(report, replayed)] = run_cell(
+            variant,
+            seed,
+            (ref,),
+            settings=settings,
+            scale=scale,
+            defaults=defaults,
+            record=True,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: the recorded cell does not run: {exc}") from None
 
     mismatches: list[str] = []
     if replayed.grid != trace.grid:

@@ -224,22 +224,44 @@ def load_trace(path: str | Path) -> GridTrace:
     ``schema_version`` this reader does not support is refused rather
     than half-parsed, as is any unknown row type — a trace is evidence
     for a bit-identical replay, so "best effort" is the wrong failure
-    mode.
+    mode.  Every ``ValueError`` names ``path`` once, and the line
+    number of a bad row.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        return _parse_trace(lines)
+    except _BadLine as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+class _BadLine(ValueError):
+    """A trace line that does not parse (``lineno`` counts from 1)."""
+
+    def __init__(self, lineno: int, msg: str) -> None:
+        super().__init__(msg)
+        self.lineno = lineno
+
+
+def _parse_trace(lines: list[str]) -> GridTrace:
     if not lines:
-        raise ValueError(f"{path} is not a grid trace: empty file")
-    head = json.loads(lines[0])
+        raise ValueError("not a grid trace: empty file")
+    try:
+        head = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise _BadLine(1, f"not a grid trace: header is not JSON ({exc})") from None
     if not isinstance(head, dict) or head.get("kind") != TRACE_KIND:
-        raise ValueError(
-            f"{path} is not a grid trace (missing kind={TRACE_KIND!r} header)"
+        raise _BadLine(
+            1, f"not a grid trace (missing kind={TRACE_KIND!r} header)"
         )
     version = head.get("schema_version")
     if version != TRACE_SCHEMA_VERSION:
-        raise ValueError(
+        raise _BadLine(
+            1,
             f"unsupported trace schema_version {version!r} "
-            f"(this reader supports {TRACE_SCHEMA_VERSION})"
+            f"(this reader supports {TRACE_SCHEMA_VERSION})",
         )
     meta = head.get("meta") or {}
     sites: list[Site] = []
@@ -255,69 +277,77 @@ def load_trace(path: str | Path) -> GridTrace:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = json.loads(line)
-        kind = row.get("row")
-        if kind == "site":
-            sites.append(
-                Site(
-                    site_id=int(row["site_id"]),
-                    speed=float(row["speed"]),
-                    security_level=float(row["security_level"]),
-                    nodes=int(row["nodes"]),
+        kind = None
+        try:
+            row = json.loads(line)
+            kind = row.get("row")
+            if kind == "site":
+                sites.append(
+                    Site(
+                        site_id=int(row["site_id"]),
+                        speed=float(row["speed"]),
+                        security_level=float(row["security_level"]),
+                        nodes=int(row["nodes"]),
+                    )
                 )
-            )
-        elif kind == "job":
-            jobs.append(
-                Job(
-                    job_id=int(row["job_id"]),
-                    arrival=float(row["arrival"]),
-                    workload=float(row["workload"]),
-                    security_demand=float(row["security_demand"]),
-                    nodes=int(row["nodes"]),
+            elif kind == "job":
+                jobs.append(
+                    Job(
+                        job_id=int(row["job_id"]),
+                        arrival=float(row["arrival"]),
+                        workload=float(row["workload"]),
+                        security_demand=float(row["security_demand"]),
+                        nodes=int(row["nodes"]),
+                    )
                 )
-            )
-        elif kind == "timeline":
-            has_timeline = True
-            online = bool(row["online"])
-        elif kind == "cancel":
-            has_timeline = True
-            cancels.append((int(row["job_id"]), float(row["time"])))
-        elif kind == "outage":
-            has_timeline = True
-            outages.append(
-                SiteOutage(
-                    site_id=int(row["site_id"]),
-                    start=float(row["start"]),
-                    end=float(row["end"]),
+            elif kind == "timeline":
+                has_timeline = True
+                online = bool(row["online"])
+            elif kind == "cancel":
+                has_timeline = True
+                cancels.append((int(row["job_id"]), float(row["time"])))
+            elif kind == "outage":
+                has_timeline = True
+                outages.append(
+                    SiteOutage(
+                        site_id=int(row["site_id"]),
+                        start=float(row["start"]),
+                        end=float(row["end"]),
+                    )
                 )
-            )
-        elif kind == "factor":
-            has_timeline = True
-            factors.append((int(row["job_id"]), float(row["factor"])))
-        elif kind == "due":
-            has_timeline = True
-            dues.append((int(row["job_id"]), float(row["due"])))
-        elif kind == "attempt-log":
-            has_attempts = True
-        elif kind == "attempt":
-            has_attempts = True
-            attempt_rows.append(
-                Attempt(
-                    job_id=int(row["job_id"]),
-                    site_id=int(row["site_id"]),
-                    start=float(row["start"]),
-                    end=float(row["end"]),
-                    failed=bool(row["failed"]),
-                    risky=bool(row["risky"]),
-                    attempt_index=int(row["attempt_index"]),
+            elif kind == "factor":
+                has_timeline = True
+                factors.append((int(row["job_id"]), float(row["factor"])))
+            elif kind == "due":
+                has_timeline = True
+                dues.append((int(row["job_id"]), float(row["due"])))
+            elif kind == "attempt-log":
+                has_attempts = True
+            elif kind == "attempt":
+                has_attempts = True
+                attempt_rows.append(
+                    Attempt(
+                        job_id=int(row["job_id"]),
+                        site_id=int(row["site_id"]),
+                        start=float(row["start"]),
+                        end=float(row["end"]),
+                        failed=bool(row["failed"]),
+                        risky=bool(row["risky"]),
+                        attempt_index=int(row["attempt_index"]),
+                    )
                 )
-            )
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown trace row {kind!r}")
+            else:
+                raise ValueError(f"unknown trace row {kind!r}")
+        except json.JSONDecodeError as exc:
+            raise _BadLine(lineno, f"not JSON ({exc})") from None
+        except KeyError as exc:
+            raise _BadLine(lineno, f"{kind!r} row lacks {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise _BadLine(lineno, str(exc)) from None
     if not sites:
-        raise ValueError(f"{path} has no site rows")
+        raise ValueError("no site rows")
     if not jobs:
-        raise ValueError(f"{path} has no job rows")
+        raise ValueError("no job rows")
     grid = Grid(tuple(sorted(sites, key=lambda s: s.site_id)))
     timeline = None
     if has_timeline:

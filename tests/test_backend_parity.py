@@ -10,8 +10,8 @@ suite is their mechanical check:
   post-call generator state), plus eligibility/permutation validity;
 * :class:`FitnessWorkspace` is bit-exact against a naive
   per-chromosome fitness, including the zero-etc counting fallback;
-* :func:`skip_generation_draws` leaves the generator exactly where
-  the kernels' generation step does;
+* :func:`skip_generations` leaves the generator exactly where that
+  many of the kernels' generation steps do;
 * :class:`FitnessWorkspace` scores a chromosome bit-identically alone
   or stacked in a larger population (the certified-optimum shortcut
   rests on it);
@@ -50,7 +50,7 @@ from repro.core.operators import (
     elitism_inplace,
     mutate_inplace,
     roulette_select_into,
-    skip_generation_draws,
+    skip_generations,
 )
 from repro.experiments.config import RunSettings
 from repro.experiments.runner import run_lineup
@@ -262,13 +262,13 @@ class TestCertifiedFastForward:
 
     @staticmethod
     def run_both(monkeypatch, etc, ready, elig, cfg, initial, seed):
-        calls = []
+        skipped = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return skip_generation_draws(*args, **kwargs)
+        def counting(rng, n, *args, **kwargs):
+            skipped.append(n)
+            return skip_generations(rng, n, *args, **kwargs)
 
-        monkeypatch.setattr(ga_module, "skip_generation_draws", counting)
+        monkeypatch.setattr(ga_module, "skip_generations", counting)
         g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
         a = evolve(etc, ready, elig, g1, cfg, initial=initial,
                    track_history=True)
@@ -279,7 +279,7 @@ class TestCertifiedFastForward:
         assert a.generations_run == b.generations_run
         np.testing.assert_array_equal(a.history, b.history)
         assert g1.bit_generator.state == g2.bit_generator.state
-        return b, len(calls)
+        return b, sum(skipped)
 
     @staticmethod
     def skipped_generations(result, optimum):
@@ -413,35 +413,72 @@ class TestOperatorStreamEquivalence:
 
 
 class TestDrawContract:
-    """The draws-only step against the kernels' RNG contract."""
+    """The draws-only generations against the kernels' RNG contract."""
 
-    @settings(max_examples=60, deadline=None)
+    @staticmethod
+    def kernel_steps(rng, data, n, p, b, crossover_prob, mutation_prob):
+        """n real selection/crossover/mutation steps on random data."""
+        sites, _ = make_sites(data, b, 4)
+        pop = sites.sample(data, (p, b))
+        buf = np.empty_like(pop)
+        for _ in range(n):
+            fit = data.uniform(1.0, 9.0, size=p)
+            roulette_select_into(pop, fit, rng, buf)
+            pop, buf = buf, pop
+            crossover_inplace(pop, crossover_prob, rng)
+            mutate_inplace(pop, sites, mutation_prob, rng)
+
+    @settings(max_examples=150, deadline=None)
     @given(
         p=st.integers(2, 9),
         b=st.integers(1, 5),
         crossover_prob=st.sampled_from([0.0, 0.5, 1.0]),
+        # 0.02 leaves many masks without a hit, 0.5 and 1.0 hit them all
         mutation_prob=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
-        k=st.integers(1, 4),
+        n=st.integers(0, 20),
+        scratch=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draws_only_generations_match_kernel_steps(
-        self, p, b, crossover_prob, mutation_prob, k, seed
+        self, p, b, crossover_prob, mutation_prob, n, scratch, seed
     ):
-        """After k draws-only generations the generator is exactly
-        where k real selection/crossover/mutation steps leave it."""
-        data = np.random.default_rng(seed + 1)  # not the stream under test
-        sites, _ = make_sites(data, b, 4)
-        pop = sites.sample(data, (p, b))
-        buf = np.empty_like(pop)
-        real, skip = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(k):
-            fit = data.uniform(1.0, 9.0, size=p)
-            roulette_select_into(pop, fit, real, buf)
-            pop, buf = buf, pop
-            crossover_inplace(pop, crossover_prob, real)
-            mutate_inplace(pop, sites, mutation_prob, real)
-            skip_generation_draws(skip, p, b, crossover_prob, mutation_prob)
-        assert real.bit_generator.state == skip.bit_generator.state
+        """``skip_generations(rng, n, ...)`` leaves the generator exactly
+        where n real generation steps and n one-generation calls do."""
+        real = np.random.default_rng(seed)
+        merged = np.random.default_rng(seed)
+        single = np.random.default_rng(seed)
+        data = np.random.default_rng(seed + 1)  # not a stream under test
+        self.kernel_steps(real, data, n, p, b, crossover_prob, mutation_prob)
+        buf = np.empty(2 * p * b + p) if scratch else None
+        skip_generations(merged, n, p, b, crossover_prob, mutation_prob, buf)
+        for _ in range(n):
+            skip_generations(single, 1, p, b, crossover_prob, mutation_prob)
+        assert merged.bit_generator.state == real.bit_generator.state
+        assert single.bit_generator.state == real.bit_generator.state
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    @pytest.mark.parametrize("p", [7, 8])
+    def test_masks_with_and_without_a_hit(self, p, b):
+        """At a low mutation rate some generations' masks hit no gene
+        (no value draw follows) and others do; both kinds occur in one
+        merged run and the generator still lands on the kernels'."""
+        hits = set()
+        for seed in range(30):
+            probe = np.random.default_rng(seed)
+            for _ in range(12):
+                probe.random(p + (p // 2 if b >= 2 else 0))
+                if b > 2:
+                    probe.integers(1, b, size=p // 2)
+                hit = probe.random((p, b)).min() < 0.03
+                hits.add(hit)
+                if hit:
+                    probe.random((p, b))
+            real, merged = (np.random.default_rng(seed) for _ in range(2))
+            data = np.random.default_rng(seed + 1)
+            self.kernel_steps(real, data, 12, p, b, 0.8, 0.03)
+            skip_generations(merged, 12, p, b, 0.8, 0.03)
+            assert merged.bit_generator.state == real.bit_generator.state
+        assert hits == {True, False}
 
 
 class TestOperatorValidity:
@@ -576,6 +613,29 @@ class TestFitnessWorkspaceParity:
             assert alone.evaluate(pop[i : i + 1])[0] == whole[i]
         bigger = np.vstack([pop[::-1], pop])
         np.testing.assert_array_equal(stacked.evaluate(bigger)[p:], whole)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 24),
+        flow_weight=st.sampled_from([0.0, 0.3]),
+        zero_etc=st.booleans(),
+    )
+    def test_one_workspace_across_population_sizes(
+        self, seed, p, flow_weight, zero_etc
+    ):
+        """One workspace scoring stacks of 1..P rows, each followed by
+        a full-P call, gives every row the same float each time: the
+        certificate's shorter last chunk resizes the buffers between
+        the loop's full-population calls."""
+        etc, ready, elig = random_problem(seed % 1000, with_zero_etc=zero_etc)
+        sites = EligibleSites.from_mask(elig)
+        pop = sites.sample(np.random.default_rng(seed), (p, etc.shape[0]))
+        expected = naive_fitness(pop, etc, ready, flow_weight)
+        ws = FitnessWorkspace(etc, ready, flow_weight=flow_weight)
+        for m in range(1, p + 1):
+            np.testing.assert_array_equal(ws.evaluate(pop[:m]), expected[:m])
+            np.testing.assert_array_equal(ws.evaluate(pop), expected)
 
     def test_buffers_reused_across_calls(self):
         etc = np.ones((4, 3))

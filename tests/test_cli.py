@@ -1007,12 +1007,15 @@ class TestReplayCommand:
             (lambda meta: meta.update(variant=["PSA s"]), "variant"),
             (lambda meta: meta.pop("report"), "report"),
             (lambda meta: meta.update(scheduler="nope"), "scheduler"),
+            # parses, but the recorded cell cannot run
+            (lambda meta: meta.update(scale=-1.0), "scale"),
         ],
         ids=[
             "unknown-variant-key",
             "variant-not-an-object",
             "no-report",
             "unknown-scheduler-ref",
+            "scale-out-of-range",
         ],
     )
     def test_replay_malformed_meta_exit_2(self, capsys, tmp_path, tamper, key):
@@ -1030,7 +1033,48 @@ class TestReplayCommand:
         assert str(path) in str(info.value)
         assert main(["replay", str(path)]) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and key in err
+        assert err.count(str(path)) == 1 and key in err
+
+    @pytest.mark.parametrize(
+        "first_line, message",
+        [
+            ('{"kind": "something-else"}', "not a grid trace"),
+            ("not json at all", "header is not JSON"),
+            ('{"kind": "grid-trace", "schema_version": 99}',
+             "unsupported trace schema_version 99"),
+        ],
+        ids=["bad-header", "bad-json", "wrong-schema-version"],
+    )
+    def test_replay_bad_trace_names_the_path_once(
+        self, capsys, tmp_path, first_line, message
+    ):
+        path = self._recorded_cell(tmp_path)
+        rows = path.read_text().splitlines()[1:]
+        path.write_text("\n".join([first_line, *rows]) + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(path)) == 1 and message in err
+        assert err.startswith(f"{path}:1: ")
+
+    def test_replay_bad_row_names_its_line(self, capsys, tmp_path):
+        path = self._recorded_cell(tmp_path)
+        lines = path.read_text().splitlines()
+        site = json.loads(lines[1])
+        assert site["row"] == "site"
+        del site["speed"]
+        lines[1] = json.dumps(site)
+        lines[2] = "{truncated"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:2: 'site' row lacks 'speed'")
+        assert err.count(str(path)) == 1
+        lines[1] = json.dumps({**site, "speed": 1.0})
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:3: not JSON")
+        assert err.count(str(path)) == 1
 
     def test_run_record_traces_replays_bit_identically(
         self, capsys, tmp_path

@@ -1,9 +1,14 @@
 """Tests for repro.core.history — the STGA lookup table."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.history import HistoryTable
+from repro.core.similarity import batch_similarity
 
 
 def entry(scale=1.0, b=3, s=2, assignment=None):
@@ -227,3 +232,91 @@ class TestEviction:
         t.insert(*entry(scale=1.05)[:3], [1, 1, 1])
         t.query(r0, e0, s0)
         assert list(t._entries) == [0, 1]
+
+
+class ReferenceTable:
+    """The table's contract as a from-scratch ``batch_similarity``
+    loop over an ordered dict of entries."""
+
+    def __init__(self, capacity, threshold, eviction):
+        self.capacity, self.threshold, self.eviction = capacity, threshold, eviction
+        self.entries = OrderedDict()
+        self.next_key = 0
+
+    def insert(self, ready, etc, sd, assignment):
+        while len(self.entries) >= self.capacity:
+            self.entries.popitem(last=False)
+        self.entries[self.next_key] = (ready, etc, sd, assignment)
+        self.next_key += 1
+
+    def query(self, ready, etc, sd, max_results):
+        scored = []
+        for key, (r, e, s, _) in self.entries.items():
+            if e.shape == etc.shape:
+                sim = batch_similarity(r, e, s, ready, etc, sd)
+                if sim >= self.threshold:
+                    scored.append((sim, key))
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        if max_results is not None:
+            scored = scored[:max_results]
+        if self.eviction == "lru":
+            for _, key in scored:
+                self.entries.move_to_end(key)
+        return [key for _, key in scored]
+
+
+class TestRowBlocksAgainstReference:
+    SHAPES = ((1, 3), (2, 3), (3, 2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        capacity=st.integers(1, 16),
+        threshold=st.sampled_from([0.0, 0.8, 0.9]),
+        eviction=st.sampled_from(["lru", "fifo"]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([True, True, False]),  # insert, or query
+                st.sampled_from([0, 0, 1, 2]),  # shape
+                st.sampled_from([None, 1, 3]),  # max_results
+            ),
+            min_size=10,
+            max_size=60,
+        ),
+    )
+    def test_insert_query_sequences_match_a_scoring_loop(
+        self, seed, capacity, threshold, eviction, ops
+    ):
+        """Random insert/query sequences over mixed shapes, at and
+        below capacity: every query returns exactly the reference
+        loop's entries in its order, and the recency order agrees."""
+        rng = np.random.default_rng(seed)
+        bases = {
+            shape: (
+                rng.uniform(0, 100, size=shape[1]),
+                rng.uniform(10, 50, size=shape),
+                rng.uniform(0.6, 0.9, size=shape[0]),
+            )
+            for shape in self.SHAPES
+        }
+        table = HistoryTable(capacity=capacity, threshold=threshold,
+                             eviction=eviction)
+        ref = ReferenceTable(capacity, threshold, eviction)
+        for is_insert, shape_i, max_results in ops:
+            shape = self.SHAPES[shape_i]
+            ready, etc, sd = (x * rng.uniform(0.9, 1.1) for x in bases[shape])
+            if rng.random() < 0.2:
+                ready = np.zeros(shape[1])  # an idle grid: Eq. 2's 0/0 case
+            if is_insert:
+                assignment = rng.integers(0, shape[1], size=shape[0])
+                table.insert(ready, etc, sd, assignment)
+                ref.insert(ready, etc, sd, assignment)
+            else:
+                got = table.query(ready, etc, sd, max_results=max_results)
+                # results are the stored arrays: map them back to keys
+                key_of = {id(e.assignment): k for k, e in table._entries.items()}
+                assert [key_of[id(a)] for a in got] == ref.query(
+                    ready, etc, sd, max_results
+                )
+            assert list(table._entries) == list(ref.entries)
+            assert sum(len(b) for b in table._blocks.values()) == len(table)
